@@ -66,11 +66,7 @@ def _fail(code: int, message: str):
 def _run(body):
     try:
         body()
-    except ConfigError as exc:
-        _fail(2, str(exc))
-    except FormatError as exc:
-        _fail(2, str(exc))
-    except FileNotFoundError as exc:
+    except (ConfigError, FormatError, FileNotFoundError) as exc:
         _fail(2, str(exc))
     except DivergenceError as exc:
         _fail(3, str(exc))

@@ -156,17 +156,27 @@ def mean_along(x, axis=None) -> Node:
     return Node(x.value.mean(axis=axis), [(x, vjp)])
 
 
-def take_rows(x, indices) -> Node:
-    """Gather rows of a 2-D array; gradients scatter-add back."""
+def sq_distances(x) -> Node:
+    """``D[i, j] = ((x[i] - x[j]) ** 2).sum()``, bit-equal to each pair's own distance."""
+    x = as_node(x)
+    diff = x.value[:, None, :] - x.value[None, :, :]
+
+    def vjp(g):
+        s = g + g.T
+        return 2.0 * (s.sum(axis=1)[:, None] * x.value - s @ x.value)
+
+    return Node((diff ** 2).sum(axis=2), [(x, vjp)])
+
+
+def take_flat(x, indices) -> Node:
+    """Gather at 1-D flat indices; gradients of repeated indices add up (bincount)."""
     x = as_node(x)
     idx = np.asarray(indices, dtype=np.intp)
 
     def vjp(g):
-        out = np.zeros_like(x.value)
-        np.add.at(out, idx, g)
-        return out
+        return np.bincount(idx, weights=g, minlength=x.value.size).reshape(x.value.shape)
 
-    return Node(x.value[idx], [(x, vjp)])
+    return Node(x.value.ravel()[idx], [(x, vjp)])
 
 
 def _topo_order(root: Node) -> list[Node]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DivergenceError
 from .autodiff import Node, gradients
 from .model import Model, Trace
 
@@ -50,6 +51,10 @@ class Sgd:
         self.momentum = float(momentum)
         self.velocities: dict[str, np.ndarray] = {}
 
-    def step(self, model: Model, grads: dict[str, np.ndarray]) -> Model:
+    def step(self, model: Model, grads: dict[str, np.ndarray], step: int) -> Model:
+        """Update in place; raise DivergenceError on the first non-finite parameter."""
         sgd_step(model.params, self.velocities, grads, self.lr, self.momentum)
+        for name, value in model.params.items():
+            if not np.isfinite(value).all():
+                raise DivergenceError(f"non-finite parameter {name} after the update at step {step}")
         return model

@@ -53,7 +53,7 @@ def train_classifier(model: Model, dataset: Dataset, schedule: Schedule, rng,
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at step {step + 1}")
             grads = backward(run, loss_node)
-            opt.step(model, grads)
+            opt.step(model, grads, step + 1)
             accuracy = float((probs.argmax(axis=1) == labels).mean())
             step += 1
             rows.append((step, loss, accuracy))

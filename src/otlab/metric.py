@@ -11,6 +11,11 @@ discarded). Two objectives are provided over squared-Euclidean distances:
 The batch form penalizes the spread of both score distributions, not just
 the gap between their means, so it targets the decidability statistic
 directly. Online sampling restricts a batch to margin-violating triplets.
+
+Both objectives gather d_ap and d_an from one (n, n) squared-distance matrix
+over the pool, built from differences so each entry is bit-equal to that
+pair's own distance. Mining lists triplets in lexicographic (a, p, n)
+order; README "Triplet objectives" has the details.
 """
 
 from __future__ import annotations
@@ -67,35 +72,26 @@ class FinetuneSchedule:
 class TripletBatch:
     """Triplets of pool indices with their distance lists and batch stats."""
 
-    def __init__(self, vectors: np.ndarray, labels: np.ndarray,
-                 triplets: list[tuple[int, int, int]],
+    def __init__(self, vectors: np.ndarray, labels: np.ndarray, triplets,
                  embeddings: list[Embedding] | None = None):
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int64)
-        self.triplets = [tuple(int(v) for v in t) for t in triplets]
+        self.index = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)   # (T, 3): a, p, n
         self.embeddings = embeddings
-        for a, p, n in self.triplets:
-            if self.labels[a] != self.labels[p]:
-                raise ValueError(f"triplet ({a},{p},{n}): anchor and positive labels differ")
-            if self.labels[a] == self.labels[n]:
-                raise ValueError(f"triplet ({a},{p},{n}): anchor and negative share a label")
-        if self.triplets:
-            ai, pi, ni = (np.array(x) for x in zip(*self.triplets))
-            self.d_ap = ((self.vectors[ai] - self.vectors[pi]) ** 2).sum(axis=1)
-            self.d_an = ((self.vectors[ai] - self.vectors[ni]) ** 2).sum(axis=1)
-        else:
-            self.d_ap = np.empty(0)
-            self.d_an = np.empty(0)
+        a, p, n = (self.labels[col] for col in self.index.T)
+        bad = np.flatnonzero((a != p) | (a == n))
+        if bad.size:
+            i = bad[0]
+            what = "positive labels differ" if a[i] != p[i] else "negative share a label"
+            raise ValueError("triplet ({},{},{}): anchor and ".format(*self.index[i]) + what)
+        self.d_ap, self.d_an = (d.value for d in _distance_nodes(Node(self.vectors), self.index))
 
-    @classmethod
-    def from_embeddings(cls, embeddings: list[Embedding],
-                        triplets: list[tuple[int, int, int]]) -> "TripletBatch":
-        vectors = np.stack([e.vector for e in embeddings])
-        labels = np.array([e.label for e in embeddings])
-        return cls(vectors, labels, triplets, embeddings=list(embeddings))
+    @property
+    def triplets(self) -> list[tuple[int, int, int]]:
+        return list(map(tuple, self.index.tolist()))
 
     def __len__(self):
-        return len(self.triplets)
+        return len(self.index)
 
     @property
     def mu_ap(self) -> float:
@@ -146,13 +142,9 @@ def distance(a, b) -> float:
 # ------------------------------------------------------------ loss graphs
 
 def _distance_nodes(z: Node, triplets) -> tuple[Node, Node]:
-    ai, pi, ni = (list(x) for x in zip(*triplets))
-    a = autodiff.take_rows(z, ai)
-    p = autodiff.take_rows(z, pi)
-    n = autodiff.take_rows(z, ni)
-    d_ap = autodiff.sum_along(autodiff.square(a - p), axis=1)
-    d_an = autodiff.sum_along(autodiff.square(a - n), axis=1)
-    return d_ap, d_an
+    anchor, positive, negative = np.asarray(triplets, dtype=np.intp).T
+    d, row = autodiff.sq_distances(z), anchor * z.shape[0]
+    return autodiff.take_flat(d, row + positive), autodiff.take_flat(d, row + negative)
 
 
 def standard_loss_node(z: Node, triplets, alpha: float) -> Node:
@@ -178,7 +170,7 @@ def standard_triplet_loss(batch: TripletBatch, alpha: float) -> tuple[float, np.
     if len(batch) == 0:
         raise StateError("standard triplet loss needs a nonempty batch")
     z = Node(batch.vectors)
-    loss = standard_loss_node(z, batch.triplets, alpha)
+    loss = standard_loss_node(z, batch.index, alpha)
     (grad,) = gradients(loss, [z])
     return float(loss.value), grad
 
@@ -189,7 +181,7 @@ def batch_triplet_loss(batch: TripletBatch, alpha: float, beta: float) -> tuple[
         raise ValueError("batch triplet loss needs at least 2 triplets "
                          "(variances require more than one sample)")
     z = Node(batch.vectors)
-    loss = batch_loss_node(z, batch.triplets, alpha, beta)
+    loss = batch_loss_node(z, batch.index, alpha, beta)
     (grad,) = gradients(loss, [z])
     return float(loss.value), grad
 
@@ -197,23 +189,24 @@ def batch_triplet_loss(batch: TripletBatch, alpha: float, beta: float) -> tuple[
 # -------------------------------------------------------- triplet mining
 
 def _violating_triplets(vectors: np.ndarray, labels: np.ndarray, alpha: float,
-                        *, online: bool = True) -> list[tuple[int, int, int]]:
-    """All (a, p, n) with shared a/p label, different n label, ordered (a, p);
-    with ``online`` only margin violators (d_ap + alpha > d_an) are kept."""
-    n = len(labels)
-    diff = vectors[:, None, :] - vectors[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    triplets = []
-    for a in range(n):
-        for p in range(n):
-            if p == a or labels[p] != labels[a]:
-                continue
-            for k in range(n):
-                if labels[k] == labels[a]:
-                    continue
-                if not online or d2[a, p] + alpha > d2[a, k]:
-                    triplets.append((a, p, k))
-    return triplets
+                        *, online: bool = True) -> np.ndarray:
+    """(T, 3) array of all (a, p != a) sharing a label and n of another, in
+    lexicographic order; ``online`` keeps margin violators (d_ap + alpha > d_an)."""
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    mask = (same & ~np.eye(len(labels), dtype=bool))[:, :, None] & ~same[:, None, :]
+    if online:
+        d = autodiff.sq_distances(vectors).value
+        mask &= d[:, :, None] + alpha > d[:, None, :]
+    return np.stack(np.nonzero(mask), axis=1)
+
+
+def _cap_triplets(triplets: np.ndarray, max_triplets: int | None, rng) -> np.ndarray:
+    """Seeded, order-keeping subsample of at most ``max_triplets`` rows."""
+    if max_triplets is None or len(triplets) <= max_triplets:
+        return triplets
+    keep = np.sort(as_rng(rng).choice(len(triplets), size=max_triplets, replace=False))
+    return triplets[keep]
 
 
 def online_sample_triplets(embeddings: list[Embedding], alpha: float,
@@ -225,17 +218,13 @@ def online_sample_triplets(embeddings: list[Embedding], alpha: float,
     preserved).
     """
     labels = np.array([e.label for e in embeddings])
-    counts = {int(l): int((labels == l).sum()) for l in set(labels.tolist())}
-    if not any(c >= 2 for c in counts.values()):
+    _, counts = np.unique(labels, return_counts=True)
+    if not (counts >= 2).any():
         raise ValueError("pool has no class with two samples; no anchor-positive pair exists")
     if len(counts) < 2:
         raise ValueError("pool needs at least two classes to form negatives")
     vectors = np.stack([e.vector for e in embeddings])
-    triplets = _violating_triplets(vectors, labels, alpha)
-    if max_triplets is not None and len(triplets) > max_triplets:
-        rng = as_rng(rng)
-        keep = np.sort(rng.choice(len(triplets), size=max_triplets, replace=False))
-        triplets = [triplets[i] for i in keep]
+    triplets = _cap_triplets(_violating_triplets(vectors, labels, alpha), max_triplets, rng)
     return TripletBatch(vectors, labels, triplets, embeddings=list(embeddings))
 
 
@@ -298,11 +287,9 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
 
         run = trace(model, images, through="features")
         z = l2_normalize(run.features)
-        triplets = _violating_triplets(z.value, labels, config.alpha,
-                                       online=config.online)
-        if config.max_triplets is not None and len(triplets) > config.max_triplets:
-            keep = np.sort(rng.choice(len(triplets), size=config.max_triplets, replace=False))
-            triplets = [triplets[i] for i in keep]
+        triplets = _cap_triplets(
+            _violating_triplets(z.value, labels, config.alpha, online=config.online),
+            config.max_triplets, rng)
 
         row = {"step": step, "loss": nan, "mu_ap": nan, "mu_an": nan,
                "var_ap": nan, "var_an": nan, "decidability": nan,
@@ -310,16 +297,13 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
         needed = 1 if config.mode == "standard" else 2
         if len(triplets) >= needed:
             batch = TripletBatch(z.value, labels, triplets)
-            if config.mode == "standard":
-                loss_node = standard_loss_node(z, triplets, config.alpha)
-            else:
-                loss_node = batch_loss_node(z, triplets, config.alpha, config.beta)
+            loss_node = (standard_loss_node(z, triplets, config.alpha) if config.mode == "standard"
+                         else batch_loss_node(z, triplets, config.alpha, config.beta))
             loss = float(loss_node.value)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite fine-tuning loss at step {step}")
-            names = list(run.param_nodes)
-            grads = gradients(loss_node, [run.param_nodes[n] for n in names])
-            opt.step(model, dict(zip(names, grads)))
+            grads = gradients(loss_node, list(run.param_nodes.values()))
+            opt.step(model, dict(zip(run.param_nodes, grads)), step)
 
             row.update(loss=loss, mu_ap=batch.mu_ap, mu_an=batch.mu_an,
                        var_ap=batch.var_ap, var_an=batch.var_an)

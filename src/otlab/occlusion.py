@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import LabeledImage, save_pgm
 from .engine.model import Model, forward
-from .errors import ProtocolError
+from .errors import FormatError, ProtocolError
 from .validation import as_rng
 
 NOISE_MODELS = ("none", "salt_pepper", "speckle", "gaussian", "random")
@@ -377,9 +377,14 @@ def save_map_csv(occ_map: OcclusionMap, path) -> None:
 
 def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),
                  sample_count: int = 1) -> OcclusionMap:
-    grid = np.loadtxt(path, delimiter=",", ndmin=2)
-    if grid.min() < 0.0 or grid.max() > 1.0:
-        raise ValueError(f"{path}: map cells must lie in [0, 1]")
+    try:
+        grid = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a numeric CSV grid ({exc})") from exc
+    bad = np.argwhere(~((grid >= 0.0) & (grid <= 1.0)))    # NaN fails both tests
+    if grid.size == 0 or len(bad):
+        where = "cell ({}, {}) is {}".format(*bad[0], grid[tuple(bad[0])]) if len(bad) else "no cells"
+        raise FormatError(f"{path}: {where}; map cells must be finite and lie in [0, 1]")
     return OcclusionMap(grid=grid, sample_count=sample_count,
                         occluder_shape=occluder_shape)
 

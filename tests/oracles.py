@@ -129,6 +129,25 @@ def violating_triplets_loops(vectors, labels, alpha):
     return found
 
 
+def violating_triplets_ordered_loops(vectors, labels, alpha, online=True):
+    """Triplet list in (anchor, positive, negative) loop order; with
+    ``online`` only margin violators (d_ap + alpha > d_an) are kept."""
+    n = len(labels)
+    diff = vectors[:, None, :] - vectors[None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    triplets = []
+    for a in range(n):
+        for p in range(n):
+            if p == a or labels[p] != labels[a]:
+                continue
+            for k in range(n):
+                if labels[k] == labels[a]:
+                    continue
+                if not online or d2[a, p] + alpha > d2[a, k]:
+                    triplets.append((a, p, k))
+    return triplets
+
+
 def roc_points_loops(scores, matches):
     """Per-threshold counting over distinct scores plus an accept-all sentinel."""
     thresholds = sorted(set(scores), reverse=True) + [min(scores) - 1.0]

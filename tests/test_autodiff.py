@@ -63,11 +63,46 @@ def test_relu_subgradient_is_zero_at_zero():
     np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
 
 
-def test_take_rows_scatter_adds_duplicate_indices():
+def test_take_flat_scatter_adds_duplicate_indices():
     x = ad.Node(np.arange(6.0).reshape(3, 2))
-    gathered = ad.take_rows(x, [0, 0, 2])
+    gathered = ad.take_flat(x, [0, 1, 0, 1, 4, 5])
+    np.testing.assert_array_equal(gathered.value, [0.0, 1.0, 0.0, 1.0, 4.0, 5.0])
     (g,) = ad.gradients(ad.sum_along(gathered), [x])
     np.testing.assert_array_equal(g, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def test_sq_distances_and_take_flat_match_finite_differences(rng):
+    # repeated flat indices (7 three times, 0 twice) exercise the bincount
+    # scatter-add; 1 = (0, 1) and 5 = (1, 0) hit both halves of one pair,
+    # while 7 = (1, 2) and 13 = (2, 3) make G asymmetric
+    idx = np.array([1, 7, 7, 13, 24, 0, 0, 5, 7])
+    worst = 0.0
+    for _ in range(10):
+        x_val = rng.normal(size=(5, 3))
+        d_val = rng.normal(size=(5, 5))
+        coeff = rng.normal(size=idx.size)
+
+        def dist_loss():
+            d = ((x_val[:, None, :] - x_val[None, :, :]) ** 2).sum(axis=2)
+            return float((d.ravel()[idx] * coeff).sum())
+
+        def gather_loss():
+            return float((d_val.ravel()[idx] * coeff).sum())
+
+        x, d = ad.Node(x_val), ad.Node(d_val)
+        (gx,) = ad.gradients(ad.sum_along(ad.take_flat(ad.sq_distances(x), idx) * coeff), [x])
+        (gd,) = ad.gradients(ad.sum_along(ad.take_flat(d, idx) * coeff), [d])
+        worst = max(worst, rel_error(gx, finite_difference(dist_loss, x_val)),
+                    rel_error(gd, finite_difference(gather_loss, d_val)))
+    assert worst < 1e-4
+
+
+def test_sq_distances_entries_equal_pairwise_differences(rng):
+    x = rng.normal(size=(6, 4))
+    d = ad.sq_distances(x).value
+    for i in range(6):
+        for j in range(6):
+            assert d[i, j] == ((x[i] - x[j]) ** 2).sum()
 
 
 def test_diamond_graph_accumulates_both_paths():

@@ -172,6 +172,39 @@ def test_train_augmented_p_mode_requires_map(tmp_path, runner):
     assert "map" in result.output
 
 
+def test_train_augmented_non_finite_map_exits_2(tmp_path, runner):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(out)])
+    grid = np.full((10, 10), 0.5)
+    grid[4, 7] = np.nan
+    bad_map = tmp_path / "map.csv"
+    np.savetxt(bad_map, grid, delimiter=",")
+    result = runner.invoke(main, ["train-augmented", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s3"),
+                                  str(out / "checkpoint.otl"), "--map", str(bad_map)])
+    assert result.exit_code == 2
+    assert "cell (4, 7) is nan" in result.output
+    assert not (tmp_path / "s3").exists()
+
+
+def test_diverging_finetune_exits_3_naming_parameter(tmp_path, runner):
+    # from an untrained base every hinge is active, so the summed standard
+    # loss has gradients large enough that lr * g overflows in update 1
+    cfg = write_config(tmp_path, schedule={"steps": 0},
+                       loss={"mode": "standard", "online": False},
+                       finetune={"steps": 3, "lr": 1e308, "pool_classes": 4,
+                                 "pool_per_class": 4})
+    out = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(out)])
+    with np.errstate(all="ignore"):
+        result = runner.invoke(main, ["finetune-triplet", "--config", str(cfg),
+                                      "--out", str(tmp_path / "s4"),
+                                      str(out / "checkpoint.otl")])
+    assert result.exit_code == 3
+    assert "non-finite parameter conv1.bias after the update at step 1" in result.output
+
+
 def test_malformed_pairs_row_exits_2_with_line(tmp_path, runner):
     cfg = write_config(tmp_path)
     stage1 = tmp_path / "s1"

@@ -266,6 +266,18 @@ def test_divergence_raises():
         train_classifier(model, dataset, Schedule(steps=5), np.random.default_rng(0))
 
 
+def test_divergent_update_names_first_non_finite_parameter():
+    # an infinite step makes every parameter non-finite in the first update
+    # (inf * g, or nan where g is 0), before any loss is non-finite
+    dataset = _toy_separable()
+    model = init_model({"input": [1, 2, 1], "layers": [{"type": "dense", "units": 2}]},
+                       np.random.default_rng(0))
+    first = next(iter(model.params))
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=rf"non-finite parameter {first} after the update at step 1"):
+        train_classifier(model, dataset, Schedule(steps=5, lr=np.inf), np.random.default_rng(0))
+
+
 # ------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_is_bit_exact(rng, tmp_path):

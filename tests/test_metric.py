@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from otlab import metric
 from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import Schedule, forward_features, init_model, train_classifier
-from otlab.errors import StateError
+from otlab.errors import DivergenceError, StateError
 from otlab.metric import (
     Embedding,
     FinetuneSchedule,
@@ -20,7 +21,12 @@ from otlab.metric import (
     standard_triplet_loss,
 )
 
-from oracles import finite_difference, rel_error, violating_triplets_loops
+from oracles import (
+    finite_difference,
+    rel_error,
+    violating_triplets_loops,
+    violating_triplets_ordered_loops,
+)
 
 
 def small_model(rng, size=6, classes=3, bottleneck=4):
@@ -132,6 +138,15 @@ def test_triplet_label_contract_enforced():
         TripletBatch(vectors, np.array([0, 1, 2]), [(0, 1, 2)])
     with pytest.raises(ValueError, match="share a label"):
         TripletBatch(vectors, np.array([0, 0, 0]), [(0, 1, 2)])
+
+
+def test_triplet_label_contract_names_first_bad_triplet():
+    vectors = np.eye(4)
+    labels = np.array([0, 0, 1, 0])
+    with pytest.raises(ValueError, match=r"triplet \(0,1,3\): anchor and negative"):
+        TripletBatch(vectors, labels, [(0, 1, 2), (0, 1, 3), (0, 2, 1)])
+    with pytest.raises(ValueError, match=r"triplet \(0,2,1\): anchor and positive"):
+        TripletBatch(vectors, labels, [(0, 1, 2), (0, 2, 1), (0, 1, 3)])
 
 
 # ------------------------------------------------------------ standard loss
@@ -275,6 +290,65 @@ def test_online_selection_equals_exhaustive_enumeration(rng):
     assert set(batch.triplets) == expected
 
 
+@st.composite
+def _tie_prone_pools(draw):
+    """Small pools on an integer grid: duplicated vectors and integer
+    distances make d_ap + alpha == d_an ties common, and up to ten labels
+    drawn from four classes often leave singleton classes."""
+    n = draw(st.integers(2, 10))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    coords = draw(st.lists(st.lists(st.integers(-1, 1), min_size=2, max_size=2),
+                           min_size=n, max_size=n))
+    return np.array(coords, dtype=np.float64), np.array(labels)
+
+
+@given(_tie_prone_pools(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.booleans())
+def test_miner_equals_ordered_oracle(pool, alpha, online):
+    vectors, labels = pool
+    mined = metric._violating_triplets(vectors, labels, alpha, online=online)
+    assert mined.shape == (len(mined), 3)
+    assert [tuple(t) for t in mined.tolist()] == violating_triplets_ordered_loops(
+        vectors, labels, alpha, online)
+
+
+@pytest.mark.parametrize("online", [False, True])
+def test_finetune_cap_selects_oracle_triplets(monkeypatch, online):
+    # each step's capped batch must be the seeded draw over the oracle's
+    # ordered list, taken from the rng state the miner was called with
+    rng = np.random.default_rng(5)
+    mine, build = metric._violating_triplets, metric.batch_loss_node
+    steps = []
+
+    def recording_mine(vectors, labels, alpha, *, online):
+        steps.append({"vectors": vectors.copy(), "labels": labels.copy(),
+                      "state": rng.bit_generator.state})
+        return mine(vectors, labels, alpha, online=online)
+
+    def recording_build(z, triplets, alpha, beta):
+        steps[-1]["used"] = [tuple(t) for t in np.asarray(triplets).tolist()]
+        return build(z, triplets, alpha, beta)
+
+    monkeypatch.setattr(metric, "_violating_triplets", recording_mine)
+    monkeypatch.setattr(metric, "batch_loss_node", recording_build)
+    cap = 32
+    finetune(small_model(np.random.default_rng(2)), _tiny_dataset(seed=3),
+             LossConfig(mode="batch", alpha=0.5, online=online, max_triplets=cap),
+             FinetuneSchedule(steps=4, lr=0.001, pool_classes=3, pool_per_class=4), rng)
+    compared = 0
+    for step in steps:
+        expected = violating_triplets_ordered_loops(step["vectors"], step["labels"], 0.5,
+                                                    online)
+        if len(expected) > cap:
+            draw = np.random.default_rng()
+            draw.bit_generator.state = step["state"]
+            keep = np.sort(draw.choice(len(expected), size=cap, replace=False))
+            expected = [expected[i] for i in keep]
+        if "used" in step:
+            assert step["used"] == expected
+            compared += 1
+    assert compared >= 3
+
+
 def test_max_triplets_cap_is_seeded_subsample(rng):
     pool = make_pool(rng, n=32, classes=4)
     full = online_sample_triplets(pool, alpha=0.5)
@@ -384,6 +458,15 @@ def test_finetune_batch_beta_zero_log_reduction():
     assert updated
     for r in updated:
         assert r["loss"] == pytest.approx(r["mu_ap"] - r["mu_an"] + 0.5, rel=1e-12)
+
+
+def test_finetune_huge_lr_names_first_non_finite_parameter():
+    model = small_model(np.random.default_rng(0))
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match="non-finite parameter conv1.weight after the update at step 1"):
+        finetune(model, _tiny_dataset(), LossConfig(mode="standard", online=False),
+                 FinetuneSchedule(steps=3, lr=1e308, pool_classes=3, pool_per_class=4),
+                 np.random.default_rng(0))
 
 
 def test_finetune_batch_mode_shrinks_variance():

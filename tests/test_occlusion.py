@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import Schedule, init_model, predict, train_classifier
 from otlab.engine.model import Dense, Model
-from otlab.errors import ProtocolError
+from otlab.errors import FormatError, ProtocolError
 from otlab.occlusion import (
     BinaryOcclusionMap,
     OccluderSpec,
@@ -412,6 +412,21 @@ def test_map_csv_round_trip(tmp_path, rng):
     first_line = path.read_text().splitlines()[0]
     assert len(first_line.split(",")) == 7
     assert all(len(v.split(".")[1]) == 6 for v in first_line.split(","))
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("0.1,0.2\n0.4,0.3\nnan,0.3\n", "cell (2, 0) is nan"),
+    ("0.1,inf\n0.2,0.3\n", "cell (0, 1) is inf"),
+    ("0.1,1.5\n-0.2,0.3\n", "cell (0, 1) is 1.5"),
+    ("0.1,x\n", "not a numeric CSV grid"),
+])
+def test_map_csv_rejects_unusable_cells(tmp_path, text, detail):
+    path = tmp_path / "map.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as info:
+        load_map_csv(path)
+    assert str(path) in str(info.value)
+    assert detail in str(info.value)
 
 
 # --------------------------------------------------------------- analysis
