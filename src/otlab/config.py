@@ -17,6 +17,17 @@ from .engine.train import Schedule
 from .errors import ConfigError, FormatError
 from .metric import FinetuneSchedule, LossConfig
 from .occlusion import OccluderSpec
+from .validation import as_number
+
+
+def _int(section: dict, key: str, default, where: str = "") -> int:
+    """``section[key]`` (or ``default``) as an int; ConfigError names the field."""
+    return as_number(section.get(key, default), where + key, integer=True)
+
+
+def _float(section: dict, key: str, default, where: str = "") -> float:
+    """``section[key]`` (or ``default``) as a finite float; ConfigError names the field."""
+    return as_number(section.get(key, default), where + key)
 
 
 @dataclass
@@ -37,7 +48,16 @@ class ExperimentConfig:
         seed = seed_override if seed_override is not None else raw.get("seed")
         if seed is None:
             raise ConfigError("a seed is required (config \"seed\" or --seed)")
-        return cls(raw=raw, seed=int(seed))
+        seed = as_number(seed, "seed", integer=True)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        return cls(raw=raw, seed=seed)
+
+    def _section(self, key: str) -> dict:
+        section = self.raw.get(key, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f'"{key}" must be a JSON object, got {section!r}')
+        return section
 
     # ------------------------------------------------------------ pieces
 
@@ -47,14 +67,14 @@ class ExperimentConfig:
         if not isinstance(section, dict):
             raise ConfigError('config needs a "dataset" object '
                               '({"synthetic": {...}} or {"path": "..."})')
-        val_fraction = float(self.raw.get("val_fraction", 0.1))
+        val_fraction = _float(self.raw, "val_fraction", 0.1)
         if "synthetic" in section:
             try:
                 spec = SyntheticSpec.from_config(section["synthetic"])
                 full = generate_synthetic(spec)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"invalid synthetic dataset spec: {exc}") from exc
-            split_seed = int(section.get("split_seed", spec.seed))
+            split_seed = _int(section, "split_seed", spec.seed, "dataset.")
         elif "path" in section:
             root = Path(section["path"])
             if not root.is_dir():
@@ -63,7 +83,7 @@ class ExperimentConfig:
                 full = load_directory(root)
             except FormatError as exc:
                 raise ConfigError(str(exc)) from exc
-            split_seed = int(section.get("split_seed", 0))
+            split_seed = _int(section, "split_seed", 0, "dataset.")
         else:
             raise ConfigError('dataset must contain "synthetic" or "path"')
         try:
@@ -83,15 +103,15 @@ class ExperimentConfig:
             raise ConfigError("default architecture expects square images; "
                               'provide an explicit "model" section')
         return default_architecture(h, dataset.class_count,
-                                    bottleneck=int(self.raw.get("bottleneck", 32)))
+                                    bottleneck=_int(self.raw, "bottleneck", 32))
 
     def schedule(self) -> Schedule:
-        section = self.raw.get("schedule", {})
+        section = self._section("schedule")
         try:
-            return Schedule(steps=int(section.get("steps", 600)),
-                            lr=float(section.get("lr", 0.05)),
-                            momentum=float(section.get("momentum", 0.9)),
-                            batch_size=int(section.get("batch_size", 32)))
+            return Schedule(steps=_int(section, "steps", 600, "schedule."),
+                            lr=_float(section, "lr", 0.05, "schedule."),
+                            momentum=_float(section, "momentum", 0.9, "schedule."),
+                            batch_size=_int(section, "batch_size", 32, "schedule."))
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid schedule: {exc}") from exc
 
@@ -105,19 +125,19 @@ class ExperimentConfig:
             raise ConfigError(f"invalid occluder spec: {exc}") from exc
 
     def temperature(self) -> float:
-        t = float(self.raw.get("temperature", 0.4))
+        t = _float(self.raw, "temperature", 0.4)
         if t <= 0:
             raise ConfigError("temperature must be positive")
         return t
 
     def stride(self) -> int:
-        s = int(self.raw.get("stride", 1))
+        s = _int(self.raw, "stride", 1)
         if s < 1:
             raise ConfigError("stride must be at least 1")
         return s
 
     def map_images(self) -> int:
-        n = int(self.raw.get("map_images", 1000))
+        n = _int(self.raw, "map_images", 1000)
         if n < 1:
             raise ConfigError("map_images must be at least 1")
         return n
@@ -129,40 +149,43 @@ class ExperimentConfig:
         return mode
 
     def occluded_fraction(self) -> float:
-        f = float(self.raw.get("occluded_fraction", 0.5))
+        f = _float(self.raw, "occluded_fraction", 0.5)
         if not 0.0 < f <= 1.0:
             raise ConfigError("occluded_fraction must lie in (0, 1]")
         return f
 
     def loss(self) -> LossConfig:
-        section = self.raw.get("loss", {})
+        section = self._section("loss")
+        online = section.get("online", True)
+        if not isinstance(online, bool):
+            raise ConfigError(f"loss.online must be true or false, got {online!r}")
+        cap = section.get("max_triplets")
         try:
             return LossConfig(
                 mode=section.get("mode", "batch"),
-                alpha=float(section.get("alpha", 0.5)),
-                beta=float(section.get("beta", 0.7)),
-                online=bool(section.get("online", True)),
-                max_triplets=section.get("max_triplets"),
+                alpha=_float(section, "alpha", 0.5, "loss."),
+                beta=_float(section, "beta", 0.7, "loss."),
+                online=online,
+                max_triplets=None if cap is None else _int(section, "max_triplets", None, "loss."),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid loss config: {exc}") from exc
 
     def finetune_schedule(self) -> FinetuneSchedule:
-        section = self.raw.get("finetune", {})
+        section = self._section("finetune")
         try:
             return FinetuneSchedule(
-                steps=int(section.get("steps", 200)),
-                lr=float(section.get("lr", 0.01)),
-                momentum=float(section.get("momentum", 0.9)),
-                pool_classes=int(section.get("pool_classes", 8)),
-                pool_per_class=int(section.get("pool_per_class", 8)),
+                steps=_int(section, "steps", 200, "finetune."),
+                lr=_float(section, "lr", 0.01, "finetune."),
+                momentum=_float(section, "momentum", 0.9, "finetune."),
+                pool_classes=_int(section, "pool_classes", 8, "finetune."),
+                pool_per_class=_int(section, "pool_per_class", 8, "finetune."),
             )
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid finetune schedule: {exc}") from exc
 
     def eval_k(self) -> int:
-        section = self.raw.get("eval", {})
-        k = int(section.get("k", 10))
+        k = _int(self._section("eval"), "k", 10, "eval.")
         if k < 2:
             raise ConfigError("eval.k must be at least 2")
         return k
@@ -170,7 +193,7 @@ class ExperimentConfig:
     def eval_pairs_path(self, override=None) -> Path:
         if override is not None:
             return Path(override)
-        section = self.raw.get("eval", {})
+        section = self._section("eval")
         if "pairs" not in section:
             raise ConfigError('config needs "eval.pairs" (or pass --pairs)')
         return Path(section["pairs"])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptionError, FormatError
+from ..errors import ConfigError, CorruptionError, FormatError
 from .model import Model, layer_from_config
 
 MAGIC = b"OTL1"
@@ -81,6 +81,8 @@ def read_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptionError(f"{path}: unreadable header ({exc})") from exc
 
+    if not isinstance(header, dict):
+        raise CorruptionError(f"{path}: header is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: format version {version} is not supported "
@@ -91,24 +93,54 @@ def read_checkpoint(path) -> Checkpoint:
     try:
         tensor_table = header["tensors"].items()
         config = header["model_config"]
-        layer_configs = config["layers"]
+        layer_configs = list(config["layers"])
         input_spec = config["input"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise CorruptionError(f"{path}: header is missing required fields") from exc
-    for name, (shape, off, length) in tensor_table:
+    for name, entry in tensor_table:
+        shape, off, length = _tensor_entry(path, name, entry)
         if off + length > len(blob):
             raise CorruptionError(f"{path}: tensor {name!r} extends past end of file")
+        if length != 8 * int(np.prod(shape)):
+            raise CorruptionError(f"{path}: tensor {name!r} has {length} bytes, expected "
+                                  f"{8 * int(np.prod(shape))} for shape {shape}")
         arr = np.frombuffer(blob[off:off + length], dtype="<f8").astype(np.float64)
-        expected = int(np.prod(shape)) if shape else 1
-        if arr.size != expected:
-            raise CorruptionError(f"{path}: tensor {name!r} has {arr.size} values, "
-                                  f"expected {expected}")
+        if not np.isfinite(arr).all():
+            raise CorruptionError(f"{path}: tensor {name!r} holds a non-finite value")
         params[name] = arr.reshape(shape)
 
-    model = Model(input_spec, [layer_from_config(c) for c in layer_configs], params)
+    layers = []
+    for i, cfg in enumerate(layer_configs):
+        try:
+            layers.append(layer_from_config(cfg))
+        except ConfigError as exc:
+            raise CorruptionError(f"{path}: model_config layer {i}: {exc}") from exc
+    try:
+        model = Model(input_spec, layers, params)
+    except (ValueError, TypeError) as exc:
+        raise CorruptionError(f"{path}: model_config does not match the tensors ({exc})") from exc
     return Checkpoint(model=model, rng_state=header.get("rng_state"),
                       training_meta=header.get("training_meta") or {},
                       format_version=version)
+
+
+def _tensor_entry(path, name, entry) -> tuple[list[int], int, int]:
+    """Validated [shape, byte offset, byte length] of one tensor-table entry."""
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    if not (isinstance(entry, list) and len(entry) == 3):
+        raise CorruptionError(f"{path}: tensor {name!r} entry must be "
+                              f"[shape, offset, length], got {entry!r}")
+    shape, off, length = entry
+    if not (isinstance(shape, list) and all(count(v) for v in shape)):
+        raise CorruptionError(f"{path}: tensor {name!r} shape must be a list of "
+                              f"nonnegative integers, got {shape!r}")
+    for field, value in (("offset", off), ("length", length)):
+        if not count(value):
+            raise CorruptionError(f"{path}: tensor {name!r} {field} must be a "
+                                  f"nonnegative integer, got {value!r}")
+    return shape, off, length
 
 
 def load_checkpoint(path) -> Model:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..validation import as_rng, check_finite, check_image_batch
+from ..validation import as_number, as_rng, check_finite, check_image_batch
 from . import autodiff, ops
 from .autodiff import Node
 
@@ -44,16 +44,27 @@ LayerSpec = Conv | Relu | MaxPool | Dense
 
 
 def layer_from_config(cfg: dict) -> LayerSpec:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a layer must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
+
+    def field(key, default=None):
+        if key not in cfg and default is None:
+            raise ConfigError(f"{kind} layer needs {key!r}")
+        return as_number(cfg.get(key, default), f"{kind} {key}", integer=True)
+
     if kind == "conv":
-        kh, kw = cfg["kernel"]
-        return Conv((int(kh), int(kw)), int(cfg["filters"]), int(cfg.get("padding", 0)))
+        kernel = cfg.get("kernel")
+        if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
+            raise ConfigError(f"conv kernel must be [height, width], got {kernel!r}")
+        kh, kw = (as_number(v, "conv kernel", integer=True) for v in kernel)
+        return Conv((kh, kw), field("filters"), field("padding", 0))
     if kind == "relu":
         return Relu()
     if kind == "maxpool":
-        return MaxPool(int(cfg["window"]))
+        return MaxPool(field("window"))
     if kind == "dense":
-        return Dense(int(cfg["units"]))
+        return Dense(field("units"))
     raise ConfigError(f"unknown layer type {kind!r}")
 
 
@@ -204,21 +215,36 @@ def _check_batch(model: Model, batch) -> np.ndarray:
     return batch
 
 
-def _apply_value(model: Model, x: np.ndarray, layers) -> np.ndarray:
+def layer_params(model: Model) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """(weight, bias) of each conv and dense layer, None for the others."""
+    out = []
     conv_i = dense_i = 0
-    for layer in layers:
+    for layer in model.layers:
         if isinstance(layer, Conv):
             conv_i += 1
-            x = ops.conv2d_value(x, model.params[f"conv{conv_i}.weight"],
-                                 model.params[f"conv{conv_i}.bias"], layer.padding)
-        elif isinstance(layer, Relu):
-            x = np.maximum(x, 0.0)
-        elif isinstance(layer, MaxPool):
-            x = ops.maxpool_value(x, layer.window)
-        else:
+            out.append((model.params[f"conv{conv_i}.weight"], model.params[f"conv{conv_i}.bias"]))
+        elif isinstance(layer, Dense):
             dense_i += 1
-            x = ops.dense_value(x, model.params[f"dense{dense_i}.weight"],
-                                model.params[f"dense{dense_i}.bias"])
+            out.append((model.params[f"dense{dense_i}.weight"], model.params[f"dense{dense_i}.bias"]))
+        else:
+            out.append(None)
+    return out
+
+
+def apply_layer(layer: LayerSpec, params, x: np.ndarray, padding: int | None = None) -> np.ndarray:
+    """One inference layer on a batch; ``padding`` overrides a conv layer's own."""
+    if isinstance(layer, Conv):
+        return ops.conv2d_value(x, *params, layer.padding if padding is None else padding)
+    if isinstance(layer, Relu):
+        return np.maximum(x, 0.0)
+    if isinstance(layer, MaxPool):
+        return ops.maxpool_value(x, layer.window)
+    return ops.dense_value(x, *params)
+
+
+def _apply_value(model: Model, x: np.ndarray, layers) -> np.ndarray:
+    for layer, params in zip(layers, layer_params(model)):
+        x = apply_layer(layer, params, x)
     return x
 
 

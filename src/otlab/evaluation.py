@@ -53,17 +53,22 @@ class KFoldReport:
 
 def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool]]
                 ) -> list[ScoredPair]:
-    """Cosine similarity of unit embeddings for each (image, image, is_match)."""
-    if not pairs:
-        return []
-    lefts = embed(model, [p[0] for p in pairs])
-    rights = embed(model, [p[1] for p in pairs])
-    out = []
-    for (a, b, is_match), ea, eb in zip(pairs, lefts, rights):
-        out.append(ScoredPair(id_a=a.id, id_b=b.id,
-                              score=float(ea.vector @ eb.vector),
-                              is_match=bool(is_match)))
-    return out
+    """Cosine similarity of unit embeddings for each (image, image, is_match).
+
+    Each distinct image object is embedded once, in first-seen order.
+    """
+    slot: dict[int, int] = {}
+    distinct = []
+    for a, b, _ in pairs:
+        for im in (a, b):
+            if id(im) not in slot:
+                slot[id(im)] = len(distinct)
+                distinct.append(im)
+    vectors = [e.vector for e in embed(model, distinct)]
+    return [ScoredPair(id_a=a.id, id_b=b.id,
+                       score=float(vectors[slot[id(a)]] @ vectors[slot[id(b)]]),
+                       is_match=bool(is_match))
+            for a, b, is_match in pairs]
 
 
 # ------------------------------------------------------------------- ROC

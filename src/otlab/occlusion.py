@@ -12,6 +12,23 @@ Patch anchoring: a patch of size (h, w) "centered" at (i, j) occupies rows
 [i - floor(h/2), i + ceil(h/2) - 1] and columns likewise, clipped to the
 image. For odd sizes this is the symmetric window; for even sizes the
 extra cell falls on the low side.
+
+Scans are incremental (the exact mode of Krypton, Nakandala et al., SIGMOD
+2019). The spatial layers run once on the clean image. Per position, the
+first row lo the patch changes and a bound s on how many rows it changes
+(columns alike) are mapped through the layers: conv with kernel k and
+padding p gives lo - (k - 1) + p and s + k - 1; relu keeps both; max-pool
+with window w gives lo // w and (s + w - 2) // w + 1, the most pooled cells
+s consecutive inputs can reach (inputs in the cropped tail reach none).
+Each layer recomputes the window [lo, lo + s), clipped to its output and
+moved inward at the far border, from its clean input with the previous
+window spliced in, using the same kernels as a full forward; the last
+window is spliced into the clean features and the dense head runs on the
+same 256-row blocks as a 256-image full forward. Each recomputed value thus
+has the same inputs and kernel as in the full forward, and the logits are
+bit-identical to it wherever the BLAS rounds a GEMM row independently of
+the call's other rows (true for the default net; where it is not, the full
+forward itself changes in the last bits with its batch size).
 """
 
 from __future__ import annotations
@@ -20,11 +37,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledImage, save_pgm
-from .engine.model import Model, forward
+from .engine.model import Conv, Dense, Model, Relu, apply_layer, forward, layer_params
 from .errors import FormatError, ProtocolError
-from .validation import as_rng
+from .validation import as_number, as_rng, check_finite
 
 NOISE_MODELS = ("none", "salt_pepper", "speckle", "gaussian", "random")
 
@@ -37,6 +55,9 @@ _DEFAULT_LEVEL_RANGES = {
 
 # temperatures paired with the small/medium/large default occluders
 DEFAULT_TEMPERATURES = {"small": 0.25, "medium": 0.4, "large": 0.6}
+
+# positions per head GEMM: the batch of a 256-image full forward
+_HEAD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,9 @@ class OccluderSpec:
         if unknown:
             raise ValueError(f"unknown occluder fields: {sorted(unknown)}")
         cfg = dict(cfg)
+        for key in ("height", "width"):
+            if key in cfg:
+                cfg[key] = as_number(cfg[key], f"occluder.{key}", integer=True)
         if "intensity_range" in cfg:
             cfg["intensity_range"] = tuple(float(v) for v in cfg["intensity_range"])
         return cls(**cfg)
@@ -169,28 +193,101 @@ def apply_occluder(image: np.ndarray, patch: np.ndarray,
 
 # ---------------------------------------------------------- binary maps
 
+def _splice(base: np.ndarray, start: np.ndarray, size, values: np.ndarray,
+            vstart: np.ndarray) -> np.ndarray:
+    """Per-position crops of a clean (H, W, C) tensor with recomputed cells laid over.
+
+    Position n gets ``base[start[n] + (0..size)]``; wherever the (n, A, B, C)
+    ``values`` block, whose top-left cell sits at ``vstart[n]``, covers a cell
+    of that crop, the block's cell replaces the clean one.
+    """
+    windows = sliding_window_view(base, tuple(size), axis=(0, 1))
+    crop = np.ascontiguousarray(windows[start[:, 0], start[:, 1]].transpose(0, 2, 3, 1))
+    offset = vstart - start
+    vr = offset[:, :1] + np.arange(values.shape[1])
+    vc = offset[:, 1:] + np.arange(values.shape[2])
+    n, a, b = np.nonzero(((vr >= 0) & (vr < size[0]))[:, :, None]
+                         & ((vc >= 0) & (vc < size[1]))[:, None, :])
+    crop[n, vr[n, a], vc[n, b]] = values[n, a, b]
+    return crop
+
+
+def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: int,
+                 chunk: int = 256) -> np.ndarray:
+    """Logits of the occluded image at every scan position, in row-major order.
+
+    Computed incrementally (see the module docstring); ``chunk`` positions
+    share each call of a spatial layer's kernel.
+    """
+    h, w = pixels.shape
+    dims = np.array([h, w])
+    positions = np.array([(i, j) for i in range(0, h, stride) for j in range(0, w, stride)])
+    params = layer_params(model)
+    split = next((k for k, layer in enumerate(model.layers) if isinstance(layer, Dense)),
+                 len(model.layers))
+
+    # clean pass: the input of each spatial layer (conv inputs zero-padded)
+    x = pixels[np.newaxis, :, :, np.newaxis]
+    clean_inputs = []
+    for layer, p in zip(model.layers[:split], params[:split]):
+        pad = layer.padding if isinstance(layer, Conv) else 0
+        clean_inputs.append(np.pad(x[0], ((pad, pad), (pad, pad), (0, 0))))
+        x = apply_layer(layer, p, x)
+    clean_features = x[0]
+
+    def features(centers: np.ndarray) -> np.ndarray:
+        # lo: first cell the patch changes; size: a bound on how many it changes
+        origin = centers - np.array(patch.shape) // 2
+        lo = np.clip(origin, 0, dims)
+        size = np.minimum(patch.shape, dims)
+        vstart = np.minimum(lo, dims - size)
+        values = _splice(pixels[:, :, np.newaxis], vstart, size,
+                         np.broadcast_to(patch[np.newaxis, :, :, np.newaxis],
+                                         (len(centers),) + patch.shape + (1,)), origin)
+        for layer, p, base in zip(model.layers[:split], params[:split], clean_inputs):
+            if isinstance(layer, Relu):
+                values = apply_layer(layer, p, values)
+                continue
+            if isinstance(layer, Conv):
+                k, pad = np.array(layer.kernel), layer.padding
+                out = np.array(base.shape[:2]) - k + 1
+                lo = np.clip(lo - (k - 1) + pad, 0, out)
+                size = np.minimum(size + k - 1, out)
+                span, scale, shift = size + k - 1, 1, pad
+            else:
+                win = layer.window
+                out = np.array(base.shape[:2]) // win
+                lo = np.minimum(lo // win, out)
+                size = np.minimum((size + win - 2) // win + 1, out)
+                span, scale, shift = size * win, win, 0
+            first = np.minimum(lo, out - size)
+            region = _splice(base, first * scale, span, values, vstart + shift)
+            values = apply_layer(layer, p, region, padding=0)
+            vstart = first
+        flat = _splice(clean_features, np.zeros_like(vstart), clean_features.shape[:2],
+                       values, vstart)
+        return flat.reshape(len(centers), -1)
+
+    logits = []
+    for block in range(0, len(positions), _HEAD_ROWS):
+        block_end = min(block + _HEAD_ROWS, len(positions))
+        x = np.concatenate([features(positions[s:min(s + chunk, block_end)])
+                            for s in range(block, block_end, chunk)])
+        for layer, p in zip(model.layers[split:], params[split:]):
+            x = apply_layer(layer, p, x)
+        logits.append(x)
+    return check_finite(np.concatenate(logits), "logits")
+
+
 def _scan_grid(model: Model, pixels: np.ndarray, label: int, patch: np.ndarray,
                stride: int, chunk: int = 256) -> np.ndarray:
     """Error indicator for every scan location; stride blocks share a value."""
     h, w = pixels.shape
-    positions = [(i, j) for i in range(0, h, stride) for j in range(0, w, stride)]
-    occluded = np.empty((len(positions), h, w))
-    for n, (i, j) in enumerate(positions):
-        occluded[n] = pixels
-        r0, r1, c0, c1 = patch_bounds((i, j), patch.shape, (h, w))
-        pr0 = r0 - (i - patch.shape[0] // 2)
-        pc0 = c0 - (j - patch.shape[1] // 2)
-        occluded[n, r0:r1, c0:c1] = patch[pr0:pr0 + (r1 - r0), pc0:pc0 + (c1 - c0)]
-
-    predictions = np.empty(len(positions), dtype=np.int64)
-    for start in range(0, len(positions), chunk):
-        block = occluded[start:start + chunk, :, :, np.newaxis]
-        predictions[start:start + chunk] = np.argmax(forward(model, block), axis=1)
-
-    grid = np.zeros((h, w))
-    for n, (i, j) in enumerate(positions):
-        grid[i:i + stride, j:j + stride] = 0.0 if predictions[n] == label else 1.0
-    return grid
+    predictions = np.argmax(_scan_logits(model, pixels, patch, stride, chunk), axis=1)
+    flips = (predictions != label).astype(np.float64)
+    rows, cols = -(-h // stride), -(-w // stride)
+    blocks = np.repeat(np.repeat(flips.reshape(rows, cols), stride, 0), stride, 1)
+    return blocks[:h, :w]
 
 
 def binary_occlusion_map(model: Model, image: LabeledImage, spec: OccluderSpec,

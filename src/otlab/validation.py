@@ -7,7 +7,11 @@ inside a training loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ConfigError
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -15,6 +19,25 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def as_number(value, name: str, *, integer: bool = False) -> int | float:
+    """A configuration scalar as a finite float, or as an int with ``integer``.
+
+    Booleans, non-numbers, non-finite values and, with ``integer``,
+    fractional values raise :class:`ConfigError` naming ``name``; integral
+    floats such as 2.0 count as integers.
+    """
+    if (isinstance(value, (bool, np.bool_))
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def check_finite(x: np.ndarray, name: str = "array") -> np.ndarray:

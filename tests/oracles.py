@@ -111,6 +111,37 @@ def binary_map_loops(predict_fn, image, label, patch):
     return grid
 
 
+def scan_logits_full(forward_fn, image, patch, stride, chunk=256):
+    """Logits of a full forward of every occluded image, positions in
+    row-major order, in batches of ``chunk``; forward_fn maps (N,H,W,1)->(N,K)."""
+    h, w = image.shape
+    ph, pw = patch.shape
+    positions = [(i, j) for i in range(0, h, stride) for j in range(0, w, stride)]
+    occluded = np.empty((len(positions), h, w))
+    for n, (i, j) in enumerate(positions):
+        occluded[n] = image
+        r0, c0 = i - ph // 2, j - pw // 2
+        rs, cs = max(r0, 0), max(c0, 0)
+        re, ce = min(r0 + ph, h), min(c0 + pw, w)
+        occluded[n, rs:re, cs:ce] = patch[rs - r0:re - r0, cs - c0:ce - c0]
+    return np.concatenate([forward_fn(occluded[s:s + chunk, :, :, np.newaxis])
+                           for s in range(0, len(positions), chunk)])
+
+
+def scan_grid_full(forward_fn, image, label, patch, stride, chunk=256):
+    """Error indicator per scan position from full forwards; stride blocks
+    share the value of their top-left position."""
+    h, w = image.shape
+    predictions = np.argmax(scan_logits_full(forward_fn, image, patch, stride, chunk), axis=1)
+    grid = np.zeros((h, w))
+    n = 0
+    for i in range(0, h, stride):
+        for j in range(0, w, stride):
+            grid[i:i + stride, j:j + stride] = 0.0 if predictions[n] == label else 1.0
+            n += 1
+    return grid
+
+
 def violating_triplets_loops(vectors, labels, alpha):
     """Exhaustive margin-violating triplet enumeration."""
     n = len(labels)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from otlab.config import ExperimentConfig
 from otlab.data import save_pgm
 from otlab.engine import load_checkpoint, read_checkpoint, save_checkpoint
 from otlab.engine.model import Dense, Model
+from otlab.errors import ConfigError
 from otlab.evaluation import make_verification_pairs, save_pairs_csv
 
 
@@ -151,6 +153,63 @@ def test_missing_seed_exits_2(tmp_path, runner):
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "seed" in result.output
+
+
+@pytest.mark.parametrize("overrides, accessor, message", [
+    ({"stride": "abc"}, "stride", "stride must be a number, got 'abc'"),
+    ({"stride": None}, "stride", "stride must be a number, got None"),
+    ({"stride": 1.5}, "stride", "stride must be an integer, got 1.5"),
+    ({"stride": True}, "stride", "stride must be a number, got True"),
+    ({"temperature": float("nan")}, "temperature", "temperature must be finite"),
+    ({"schedule": {"lr": float("inf")}}, "schedule", "schedule.lr must be finite"),
+    ({"schedule": [1]}, "schedule", '"schedule" must be a JSON object'),
+    ({"finetune": {"steps": "5"}}, "finetune_schedule", "finetune.steps must be a number"),
+    ({"loss": {"online": "false"}}, "loss", "loss.online must be true or false"),
+    ({"loss": {"max_triplets": 2.5}}, "loss", "loss.max_triplets must be an integer"),
+    ({"eval": {"k": 1e400}}, "eval_k", "eval.k must be finite"),
+])
+def test_config_scalars_are_type_checked(tmp_path, overrides, accessor, message):
+    cfg = ExperimentConfig.load(write_config(tmp_path, **overrides))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        getattr(cfg, accessor)()
+
+
+def test_integral_float_config_values_are_accepted(tmp_path):
+    cfg = ExperimentConfig.load(write_config(tmp_path, stride=2.0, seed=7.0))
+    assert cfg.stride() == 2 and isinstance(cfg.stride(), int) and cfg.seed == 7
+
+
+@pytest.mark.parametrize("stride, message", [("abc", "stride must be a number"),
+                                              (1.5, "stride must be an integer"),
+                                              (float("inf"), "stride must be finite")])
+def test_occlusion_map_bad_stride_exits_2(tmp_path, runner, stride, message):
+    cfg = write_config(tmp_path, schedule={"steps": 0})
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    cfg = write_config(tmp_path, schedule={"steps": 0}, stride=stride)
+    out = tmp_path / "s2"
+    result = runner.invoke(main, ["occlusion-map", "--config", str(cfg), "--out", str(out),
+                                  str(stage1 / "checkpoint.otl")])
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_corrupt_checkpoint_exits_2_naming_field(tmp_path, runner):
+    cfg = write_config(tmp_path, schedule={"steps": 0})
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    path = stage1 / "checkpoint.otl"
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[4:8], "little")
+    header = json.loads(raw[8:8 + n])
+    header["tensors"]["dense1.bias"][1] = "0"
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + len(new).to_bytes(4, "little") + new + raw[8 + n:])
+    result = runner.invoke(main, ["occlusion-map", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s2"), str(path)])
+    assert result.exit_code == 2
+    assert "tensor 'dense1.bias' offset must be a nonnegative integer" in result.output
 
 
 def test_missing_checkpoint_exits_2(tmp_path, runner):

@@ -321,6 +321,43 @@ def test_checkpoint_truncated_payload(rng, tmp_path):
         load_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to a saved checkpoint's JSON header, keeping the blob."""
+    import json
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[4:8], "little")
+    header = json.loads(raw[8:8 + n])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + len(new).to_bytes(4, "little") + new + raw[8 + n:])
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda h: h["tensors"].update({"conv1.bias": 7}), "'conv1.bias' entry"),
+    (lambda h: h["tensors"]["conv1.bias"].__setitem__(1, "0"), "'conv1.bias' offset"),
+    (lambda h: h["tensors"]["conv1.bias"].__setitem__(0, [1.5]), "'conv1.bias' shape"),
+    (lambda h: h["tensors"]["conv1.bias"].__setitem__(2, 3), "'conv1.bias' has 3 bytes"),
+    (lambda h: h["model_config"]["layers"][0].update({"kernel": "ab"}), "layer 0: conv kernel"),
+    (lambda h: h["model_config"]["layers"][0].update({"filters": True}), "layer 0: conv filters"),
+])
+def test_checkpoint_malformed_header_names_the_field(rng, tmp_path, edit, match):
+    path = tmp_path / "model.otl"
+    save_checkpoint(init_model(small_config(), rng), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(CorruptionError, match=match) as info:
+        read_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_checkpoint_non_finite_tensor_rejected(rng, tmp_path):
+    model = init_model(small_config(), rng)
+    model.params["conv1.bias"][1] = np.nan
+    path = tmp_path / "model.otl"
+    save_checkpoint(model, path)
+    with pytest.raises(CorruptionError, match="'conv1.bias' holds a non-finite value"):
+        read_checkpoint(path)
+
+
 def test_checkpoint_same_model_same_bytes(rng, tmp_path):
     model = init_model(small_config(), rng)
     p1, p2 = tmp_path / "a.otl", tmp_path / "b.otl"

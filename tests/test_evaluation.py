@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from otlab import evaluation
 from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import forward_features
-from otlab.engine.model import Dense, Model
+from otlab.engine.model import Dense, Model, default_architecture, init_model
 from otlab.errors import FormatError, ProtocolError
 from otlab.evaluation import (
     ScoredPair,
@@ -20,6 +21,7 @@ from otlab.evaluation import (
     score_pairs,
     validate_kfold_report,
 )
+from otlab.metric import embed
 from otlab.occlusion import OcclusionMap
 
 from oracles import kfold_loops, mann_whitney, roc_points_loops
@@ -67,6 +69,27 @@ def test_antipodal_embeddings_score_minus_one():
                    "dense2.bias": np.zeros(2)})
     scored = score_pairs(model, [(_img([1.0, 0.0], id_="a"), _img([0.0, 1.0], id_="b"), False)])
     assert scored[0].score == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_scores_equal_per_pair_embedding_path(monkeypatch):
+    # 1200 pairs over 300 images: every image recurs, and the distinct set
+    # spans two 256-image embedding batches
+    spec = SyntheticSpec(class_count=3, samples_per_class=100, image_size=8, seed=3)
+    ds = generate_synthetic(spec)
+    model = init_model(default_architecture(8, 3), np.random.default_rng(1))
+    ids = make_verification_pairs(ds, 600, 600, np.random.default_rng(2))
+    pairs = resolve_pairs(ids, ds)
+    lefts = embed(model, [a for a, _, _ in pairs])
+    rights = embed(model, [b for _, b, _ in pairs])
+    expected = [float(ea.vector @ eb.vector) for ea, eb in zip(lefts, rights)]
+
+    embedded = []
+    monkeypatch.setattr(evaluation, "embed",
+                        lambda m, images: embedded.append(len(images)) or embed(m, images))
+    scored = score_pairs(model, pairs)
+    assert [sp.score for sp in scored] == expected
+    assert [(sp.id_a, sp.id_b, sp.is_match) for sp in scored] == ids
+    assert embedded == [len({id(im) for pair in pairs for im in pair[:2]})]
 
 
 def test_scores_equal_independent_dot_products(rng):

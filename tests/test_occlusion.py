@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from otlab import occlusion
 from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
-from otlab.engine import Schedule, init_model, predict, train_classifier
-from otlab.engine.model import Dense, Model
-from otlab.errors import FormatError, ProtocolError
+from otlab.engine import Schedule, init_model, ops, predict, train_classifier
+from otlab.engine.model import Dense, Model, default_architecture, forward
+from otlab.errors import ConfigError, FormatError, ProtocolError
 from otlab.occlusion import (
     BinaryOcclusionMap,
     OccluderSpec,
     OcclusionMap,
     PlacementDistribution,
+    _scan_grid,
+    _scan_logits,
     aggregate_map,
     apply_occluder,
     augment_batch,
@@ -29,7 +32,7 @@ from otlab.occlusion import (
     top_decile_centroid,
 )
 
-from oracles import binary_map_loops, occlude_loops
+from oracles import binary_map_loops, occlude_loops, scan_grid_full, scan_logits_full
 
 
 # -------------------------------------------------------------- occluders
@@ -198,6 +201,93 @@ def test_stride_fills_blocks_with_scanned_value(rng):
     for i in (0, 2):
         for j in (0, 2):
             assert np.all(coarse.grid[i:i + 2, j:j + 2] == fine.grid[i, j])
+
+
+# ------------------------------------------------------ incremental scan
+
+_spatial_layers = st.one_of(
+    st.builds(lambda kh, kw, f, pad: {"type": "conv", "kernel": [kh, kw], "filters": f,
+                                      "padding": pad},
+              st.integers(1, 5), st.integers(1, 5), st.integers(1, 4), st.integers(0, 2)),
+    st.just({"type": "relu"}),
+    st.builds(lambda w: {"type": "maxpool", "window": w}, st.integers(2, 3)),
+)
+
+
+def _random_net(h, w, body, hidden, classes, seed):
+    layers = list(body)
+    for units, relu in hidden:
+        layers.append({"type": "dense", "units": units})
+        if relu:
+            layers.append({"type": "relu"})
+    layers.append({"type": "dense", "units": classes})
+    try:
+        model = init_model({"input": [h, w, 1], "layers": layers}, np.random.default_rng(seed))
+    except ConfigError:
+        return None
+    rng = np.random.default_rng(seed + 1)
+    for value in model.params.values():
+        value += rng.normal(0.0, 0.1, value.shape)     # nonzero biases too
+    return model
+
+
+@settings(max_examples=150)
+@given(h=st.integers(2, 11), w=st.integers(2, 11), body=st.lists(_spatial_layers, max_size=4),
+       hidden=st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=2),
+       classes=st.integers(2, 4), ph=st.integers(1, 13), pw=st.integers(1, 13),
+       stride=st.integers(1, 3), chunk=st.sampled_from([1, 7, 256]),
+       seed=st.integers(0, 2**16))
+def test_incremental_scan_matches_full_forward(h, w, body, hidden, classes, ph, pw,
+                                               stride, chunk, seed):
+    model = _random_net(h, w, body, hidden, classes, seed)
+    assume(model is not None)
+    rng = np.random.default_rng(seed + 2)
+    pixels, patch = rng.random((h, w)), rng.random((ph, pw))
+
+    def full(batch):
+        return forward(model, batch)
+
+    logits = _scan_logits(model, pixels, patch, stride, chunk)
+    expected = scan_logits_full(full, pixels, patch, stride)
+    label = int(np.argmax(expected[0]))
+    np.testing.assert_array_equal(_scan_grid(model, pixels, label, patch, stride, chunk),
+                                  scan_grid_full(full, pixels, label, patch, stride))
+    # Bit equality is owed wherever the full forward itself gives one answer:
+    # for some GEMM shapes the BLAS rounds a row differently depending on how
+    # many rows share the call, and then only rounding-level agreement exists.
+    if all(np.array_equal(expected, scan_logits_full(full, pixels, patch, stride, c))
+           for c in (1, 7)):
+        np.testing.assert_array_equal(logits, expected)
+    else:
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("patch_shape", [(6, 6), (13, 13), (4, 5), (1, 1), (40, 3)])
+def test_incremental_scan_is_bit_identical_on_default_net(patch_shape):
+    model = init_model(default_architecture(16, 10), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    pixels, patch = rng.random((16, 16)), rng.random(patch_shape)
+    for stride in (1, 3):
+        expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, stride)
+        for chunk in (1, 7, 256):
+            np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride, chunk),
+                                          expected)
+
+
+def test_scan_recomputes_only_windows(monkeypatch):
+    model = init_model(default_architecture(16, 10), np.random.default_rng(3))
+    cells = []
+    real = ops.conv2d_value
+
+    def counting(x, *args):
+        cells.append(x.shape[0] * x.shape[1] * x.shape[2])
+        return real(x, *args)
+
+    monkeypatch.setattr(ops, "conv2d_value", counting)
+    monkeypatch.setattr(occlusion, "forward", None)     # no full forward per position
+    _scan_grid(model, np.random.default_rng(5).random((16, 16)), 0, np.zeros((3, 3)), 1)
+    # full forwards of the 256 positions would convolve padded 18x18 and 10x10 maps
+    assert sum(cells) < 256 * (18 * 18 + 10 * 10) / 2
 
 
 # -------------------------------------------------------------- aggregate
