@@ -1,13 +1,17 @@
-"""Network definition: layer descriptors, parameter init, forward passes.
+"""Network definition: layer descriptors, the layer plan, init and forward passes.
 
 A model is an ordered list of layer descriptors plus a named parameter
-dict. Shapes are inferred once at construction and validated so that
-consecutive layers compose; parameter names are derived from layer order
-and are unique by construction.
+dict. :func:`plan_layers` derives the rest once per model: each layer's
+parameter names and shapes and its input and output shapes. Construction
+checks that the layers compose and that every tensor has its planned
+shape. One walk over the plan (:func:`walk`) serves inference and
+recording: :func:`apply_layer` runs a layer's graph op when its input is a
+``Node`` and its ``*_value`` kernel otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,60 +83,80 @@ def layer_to_config(layer: LayerSpec) -> dict:
     return {"type": "dense", "units": layer.units}
 
 
-def _infer_shapes(input_spec, layers) -> list[tuple]:
-    """Shape after each layer, starting from (H, W, C). Dense flattens."""
-    shapes = []
-    shape = tuple(int(v) for v in input_spec)
-    if len(shape) != 3 or min(shape) < 1:
-        raise ConfigError(f"input_spec must be (height, width, channels), got {input_spec}")
+@dataclass(frozen=True)
+class LayerPlan:
+    """One layer of a model: its spec, the (name, shape) of each of its
+    parameters, and its per-image input and output shapes, (H, W, C) or
+    (units,)."""
+
+    spec: LayerSpec
+    params: tuple[tuple[str, tuple[int, ...]], ...]
+    in_shape: tuple[int, ...]
+    out_shape: tuple[int, ...]
+
+
+def _input_shape(spec) -> tuple[int, int, int]:
+    if not isinstance(spec, (list, tuple)) or len(spec) != 3:
+        raise ConfigError(f"model input must be [height, width, channels], got {spec!r}")
+    shape = tuple(as_number(v, "model input", integer=True) for v in spec)
+    if min(shape) < 1:
+        raise ConfigError(f"model input must be positive, got {list(shape)}")
+    return shape
+
+
+def plan_layers(input_spec, layers) -> list[LayerPlan]:
+    """The plan of each layer, from the (height, width, channels) input on.
+
+    Raises ConfigError for a malformed input or layers that do not compose.
+    Dense flattens its input.
+    """
+    shape = _input_shape(input_spec)
+    counts = {"conv": 0, "dense": 0}
+    plan = []
     for i, layer in enumerate(layers):
+        kind, out = None, shape
+        if isinstance(layer, (Conv, MaxPool)) and len(shape) != 3:
+            raise ConfigError(f"layer {i}: {layer_to_config(layer)['type']} "
+                              "after flattening is not supported")
         if isinstance(layer, Conv):
-            if len(shape) != 3:
-                raise ConfigError(f"layer {i}: conv after flattening is not supported")
-            h, w, _ = shape
             kh, kw = layer.kernel
-            ho = h + 2 * layer.padding - kh + 1
-            wo = w + 2 * layer.padding - kw + 1
-            if ho < 1 or wo < 1:
+            out = (shape[0] + 2 * layer.padding - kh + 1,
+                   shape[1] + 2 * layer.padding - kw + 1, layer.filters)
+            if min(out[:2]) < 1:
                 raise ConfigError(f"layer {i}: kernel {layer.kernel} too large for input {shape}")
-            shape = (ho, wo, layer.filters)
+            kind, weight = "conv", (kh, kw, shape[2], layer.filters)
         elif isinstance(layer, MaxPool):
-            if len(shape) != 3:
-                raise ConfigError(f"layer {i}: maxpool after flattening is not supported")
-            h, w, c = shape
-            if h < layer.window or w < layer.window:
+            if min(shape[:2]) < layer.window:
                 raise ConfigError(f"layer {i}: pool window {layer.window} too large for {shape}")
-            shape = (h // layer.window, w // layer.window, c)
+            out = (shape[0] // layer.window, shape[1] // layer.window, shape[2])
         elif isinstance(layer, Dense):
-            shape = (layer.units,)
-        shapes.append(shape)
-    return shapes
+            kind, weight, out = "dense", (math.prod(shape), layer.units), (layer.units,)
+        params = ()
+        if kind:
+            counts[kind] += 1
+            name = f"{kind}{counts[kind]}"
+            params = ((f"{name}.weight", weight), (f"{name}.bias", weight[-1:]))
+        plan.append(LayerPlan(layer, params, shape, out))
+        shape = out
+    return plan
 
 
 class Model:
     """A sequential conv/pool/relu/dense network with named parameters."""
 
     def __init__(self, input_spec, layers, params: dict[str, np.ndarray]):
-        self.input_spec = tuple(int(v) for v in input_spec)
+        self.input_spec = _input_shape(input_spec)
         self.layers = list(layers)
-        self.shapes = _infer_shapes(self.input_spec, self.layers)
-        self.params = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
-        expected = set(self.param_names())
-        if expected != set(self.params):
-            missing = expected ^ set(self.params)
+        self.plan = plan_layers(self.input_spec, self.layers)
+        shapes = dict(pair for step in self.plan for pair in step.params)
+        if set(shapes) != set(params):
+            missing = set(shapes) ^ set(params)
             raise ConfigError(f"parameter set does not match layers: {sorted(missing)}")
-
-    def param_names(self) -> list[str]:
-        names = []
-        conv_i = dense_i = 0
-        for layer in self.layers:
-            if isinstance(layer, Conv):
-                conv_i += 1
-                names += [f"conv{conv_i}.weight", f"conv{conv_i}.bias"]
-            elif isinstance(layer, Dense):
-                dense_i += 1
-                names += [f"dense{dense_i}.weight", f"dense{dense_i}.bias"]
-        return names
+        self.params = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
+        for name, shape in shapes.items():
+            if self.params[name].shape != shape:
+                raise ConfigError(f"parameter {name} has shape {self.params[name].shape}, "
+                                  f"expected {shape}")
 
     def num_classes(self) -> int:
         if not self.layers or not isinstance(self.layers[-1], Dense):
@@ -143,8 +167,7 @@ class Model:
         """Width of the layer feeding the classification layer."""
         if len(self.layers) < 2 or not isinstance(self.layers[-1], Dense):
             raise ConfigError("model has no bottleneck layer before the classifier")
-        shape = self.shapes[-2]
-        return int(np.prod(shape))
+        return math.prod(self.plan[-1].in_shape)
 
     def copy(self) -> "Model":
         return Model(self.input_spec, self.layers,
@@ -158,35 +181,23 @@ class Model:
 def init_model(config: dict, rng) -> Model:
     """Build a model from a JSON-style config with Glorot-uniform weights.
 
-    Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)); biases
-    start at zero. Draw order follows layer order, so a given seed yields a
-    bit-identical model.
+    Weights are drawn uniformly from +-sqrt(6 / (fan_in + fan_out)), with
+    fan_in = receptive field x input channels and fan_out = receptive field
+    x output channels (receptive field 1 for dense); biases start at zero.
+    Draw order follows layer order, so a given seed yields a bit-identical
+    model.
     """
     rng = as_rng(rng)
-    input_spec = tuple(int(v) for v in config["input"])
     layers = [layer_from_config(c) for c in config["layers"]]
-    shapes = _infer_shapes(input_spec, layers)
-
     params: dict[str, np.ndarray] = {}
-    conv_i = dense_i = 0
-    prev = input_spec
-    for layer, shape in zip(layers, shapes):
-        if isinstance(layer, Conv):
-            conv_i += 1
-            kh, kw = layer.kernel
-            cin = prev[2]
-            fan_in, fan_out = kh * kw * cin, kh * kw * layer.filters
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            params[f"conv{conv_i}.weight"] = rng.uniform(-limit, limit, size=(kh, kw, cin, layer.filters))
-            params[f"conv{conv_i}.bias"] = np.zeros(layer.filters)
-        elif isinstance(layer, Dense):
-            dense_i += 1
-            d_in = int(np.prod(prev))
-            limit = np.sqrt(6.0 / (d_in + layer.units))
-            params[f"dense{dense_i}.weight"] = rng.uniform(-limit, limit, size=(d_in, layer.units))
-            params[f"dense{dense_i}.bias"] = np.zeros(layer.units)
-        prev = shape
-    return Model(input_spec, layers, params)
+    for step in plan_layers(config["input"], layers):
+        if step.params:
+            (weight, shape), (bias, bias_shape) = step.params
+            fans = math.prod(shape[:-2]) * (shape[-2] + shape[-1])
+            limit = np.sqrt(6.0 / fans)
+            params[weight] = rng.uniform(-limit, limit, size=shape)
+            params[bias] = np.zeros(bias_shape)
+    return Model(config["input"], layers, params)
 
 
 def default_architecture(image_size: int, classes: int, channels: int = 1,
@@ -215,51 +226,43 @@ def _check_batch(model: Model, batch) -> np.ndarray:
     return batch
 
 
-def layer_params(model: Model) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """(weight, bias) of each conv and dense layer, None for the others."""
-    out = []
-    conv_i = dense_i = 0
-    for layer in model.layers:
-        if isinstance(layer, Conv):
-            conv_i += 1
-            out.append((model.params[f"conv{conv_i}.weight"], model.params[f"conv{conv_i}.bias"]))
-        elif isinstance(layer, Dense):
-            dense_i += 1
-            out.append((model.params[f"dense{dense_i}.weight"], model.params[f"dense{dense_i}.bias"]))
-        else:
-            out.append(None)
-    return out
+def apply_layer(step: LayerPlan, params, x, padding: int | None = None):
+    """One layer on a batch: the graph op when ``x`` is a Node, else the value kernel.
 
-
-def apply_layer(layer: LayerSpec, params, x: np.ndarray, padding: int | None = None) -> np.ndarray:
-    """One inference layer on a batch; ``padding`` overrides a conv layer's own."""
+    ``params`` maps parameter names to arrays or Nodes; ``padding``
+    overrides a conv layer's own.
+    """
+    layer = step.spec
+    weights = [params[name] for name, _ in step.params]
+    graph = isinstance(x, Node)
     if isinstance(layer, Conv):
-        return ops.conv2d_value(x, *params, layer.padding if padding is None else padding)
+        conv = ops.conv2d if graph else ops.conv2d_value
+        return conv(x, *weights, layer.padding if padding is None else padding)
     if isinstance(layer, Relu):
-        return np.maximum(x, 0.0)
+        return autodiff.relu(x) if graph else np.maximum(x, 0.0)
     if isinstance(layer, MaxPool):
-        return ops.maxpool_value(x, layer.window)
-    return ops.dense_value(x, *params)
+        return (ops.maxpool if graph else ops.maxpool_value)(x, layer.window)
+    return (ops.dense if graph else ops.dense_value)(x, *weights)
 
 
-def _apply_value(model: Model, x: np.ndarray, layers) -> np.ndarray:
-    for layer, params in zip(layers, layer_params(model)):
-        x = apply_layer(layer, params, x)
+def walk(x, steps, params):
+    """Apply ``steps`` in order, rebinding one activation (no intermediates kept)."""
+    for step in steps:
+        x = apply_layer(step, params, x)
     return x
 
 
 def forward(model: Model, batch) -> np.ndarray:
     """Class scores for a batch; a pure function of (parameters, input)."""
     batch = _check_batch(model, batch)
-    logits = _apply_value(model, batch, model.layers)
-    return check_finite(logits, "logits")
+    return check_finite(walk(batch, model.plan, model.params), "logits")
 
 
 def forward_features(model: Model, batch) -> np.ndarray:
     """Activations feeding the classification layer (the bottleneck features)."""
     model.bottleneck_dim()  # validates that a bottleneck exists
     batch = _check_batch(model, batch)
-    feats = _apply_value(model, batch, model.layers[:-1])
+    feats = walk(batch, model.plan[:-1], model.params)
     return check_finite(feats.reshape(batch.shape[0], -1), "features")
 
 
@@ -289,31 +292,8 @@ def trace(model: Model, batch, *, through: str = "logits") -> Trace:
     """
     batch = _check_batch(model, batch)
     param_nodes = {name: Node(value) for name, value in model.params.items()}
-
-    x = Node(batch)
-    feature_node: Node | None = None
-    last = len(model.layers) - 1
-    conv_i = dense_i = 0
-    for i, layer in enumerate(model.layers):
-        if i == last:
-            feature_node = x
-            if through == "features":
-                break
-        if isinstance(layer, Conv):
-            conv_i += 1
-            x = ops.conv2d(x, param_nodes[f"conv{conv_i}.weight"],
-                           param_nodes[f"conv{conv_i}.bias"], layer.padding)
-        elif isinstance(layer, Relu):
-            x = autodiff.relu(x)
-        elif isinstance(layer, MaxPool):
-            x = ops.maxpool(x, layer.window)
-        else:
-            dense_i += 1
-            x = ops.dense(x, param_nodes[f"dense{dense_i}.weight"],
-                          param_nodes[f"dense{dense_i}.bias"])
-
-    if feature_node is None:
-        feature_node = x
-    if feature_node.value.ndim > 2:
-        feature_node = autodiff.reshape(feature_node, (feature_node.value.shape[0], -1))
-    return Trace(logits=x, features=feature_node, param_nodes=param_nodes)
+    features = walk(Node(batch), model.plan[:-1], param_nodes)
+    logits = features if through == "features" else walk(features, model.plan[-1:], param_nodes)
+    if features.value.ndim > 2:
+        features = autodiff.reshape(features, (features.value.shape[0], -1))
+    return Trace(logits=logits, features=features, param_nodes=param_nodes)

@@ -1,9 +1,14 @@
 """Layer kernels (plain float64 arrays) and their recorded-graph wrappers.
 
-Every kernel has two entry points: a ``*_value`` function used on the pure
-inference path, and a graph op returning a :class:`~otlab.engine.autodiff.Node`
-used during training. Both share the same forward arithmetic, so inference
-and training are bit-identical.
+Every kernel has a ``*_value`` function for inference and a graph op
+returning a :class:`~otlab.engine.autodiff.Node` for training. Conv and
+dense compute both from one private forward each, so inference and
+training are bit-identical by construction. ``maxpool`` and
+:func:`~otlab.engine.autodiff.relu` keep gather and mask forms for their
+VJPs; they select exactly the values ``maxpool_value`` and ``np.maximum``
+give (the mask writes -0.0 for negative inputs, which compares equal).
+Graph ops never call the public ``*_value`` names, so a probe on either
+entry point counts each kernel call once.
 
 Layout conventions: image batches are NHWC, conv weights are
 (kh, kw, c_in, c_out), dense weights are (d_in, d_out).
@@ -29,24 +34,27 @@ def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
 
-def conv2d_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int = 0) -> np.ndarray:
+def _conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                    padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution output and the (N*Ho*Wo, kh*kw*C) patch matrix it multiplied."""
     kh, kw, cin, cout = weight.shape
     cols = _im2col(x, kh, kw, padding)
     n, ho, wo = cols.shape[:3]
-    out = cols.reshape(n * ho * wo, kh * kw * cin) @ weight.reshape(kh * kw * cin, cout)
-    return out.reshape(n, ho, wo, cout) + bias
+    flat_cols = cols.reshape(n * ho * wo, kh * kw * cin)
+    out = flat_cols @ weight.reshape(kh * kw * cin, cout)
+    return out.reshape(n, ho, wo, cout) + bias, flat_cols
+
+
+def conv2d_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int = 0) -> np.ndarray:
+    return _conv2d_forward(x, weight, bias, padding)[0]
 
 
 def conv2d(x, weight, bias, padding: int = 0) -> Node:
     x, weight, bias = as_node(x), as_node(weight), as_node(bias)
-    kh, kw, cin, cout = weight.value.shape
-    cols = _im2col(x.value, kh, kw, padding)
-    n, ho, wo = cols.shape[:3]
-    flat_cols = cols.reshape(n * ho * wo, kh * kw * cin)
-    out = (flat_cols @ weight.value.reshape(kh * kw * cin, cout)).reshape(n, ho, wo, cout)
-    out = out + bias.value
-
+    out, flat_cols = _conv2d_forward(x.value, weight.value, bias.value, padding)
+    n, ho, wo, cout = out.shape
     w_value = weight.value
+    kh, kw, cin, _ = w_value.shape
 
     def vjp_x(g):
         dcols = (g.reshape(n * ho * wo, cout) @ w_value.reshape(-1, cout).T)
@@ -106,17 +114,21 @@ def maxpool(x, window: int) -> Node:
 
 # ---------------------------------------------------------------- dense
 
-def dense_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def _dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense output and the (N, d_in) flattened input it multiplied."""
     flat = x.reshape(x.shape[0], -1)
-    return flat @ weight + bias
+    return flat @ weight + bias, flat
+
+
+def dense_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    return _dense_forward(x, weight, bias)[0]
 
 
 def dense(x, weight, bias) -> Node:
     x, weight, bias = as_node(x), as_node(weight), as_node(bias)
     in_shape = x.value.shape
-    flat = x.value.reshape(in_shape[0], -1)
-    out = flat @ weight.value + bias.value
-
+    out, flat = _dense_forward(x.value, weight.value, bias.value)
     return Node(out, [
         (x, lambda g: (g @ weight.value.T).reshape(in_shape)),
         (weight, lambda g: flat.T @ g),

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledImage, save_pgm
-from .engine.model import Conv, Dense, Model, Relu, apply_layer, forward, layer_params
+from .engine.model import Conv, Model, Relu, apply_layer, forward, walk
 from .errors import FormatError, ProtocolError
 from .validation import as_number, as_rng, check_finite
 
@@ -222,17 +222,16 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
     h, w = pixels.shape
     dims = np.array([h, w])
     positions = np.array([(i, j) for i in range(0, h, stride) for j in range(0, w, stride)])
-    params = layer_params(model)
-    split = next((k for k, layer in enumerate(model.layers) if isinstance(layer, Dense)),
-                 len(model.layers))
+    # the spatial layers (3-D outputs) precede the first dense layer
+    split = sum(len(step.out_shape) == 3 for step in model.plan)
 
     # clean pass: the input of each spatial layer (conv inputs zero-padded)
     x = pixels[np.newaxis, :, :, np.newaxis]
     clean_inputs = []
-    for layer, p in zip(model.layers[:split], params[:split]):
-        pad = layer.padding if isinstance(layer, Conv) else 0
+    for step in model.plan[:split]:
+        pad = step.spec.padding if isinstance(step.spec, Conv) else 0
         clean_inputs.append(np.pad(x[0], ((pad, pad), (pad, pad), (0, 0))))
-        x = apply_layer(layer, p, x)
+        x = apply_layer(step, model.params, x)
     clean_features = x[0]
 
     def features(centers: np.ndarray) -> np.ndarray:
@@ -244,25 +243,25 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
         values = _splice(pixels[:, :, np.newaxis], vstart, size,
                          np.broadcast_to(patch[np.newaxis, :, :, np.newaxis],
                                          (len(centers),) + patch.shape + (1,)), origin)
-        for layer, p, base in zip(model.layers[:split], params[:split], clean_inputs):
+        for step, base in zip(model.plan[:split], clean_inputs):
+            layer = step.spec
             if isinstance(layer, Relu):
-                values = apply_layer(layer, p, values)
+                values = apply_layer(step, model.params, values)
                 continue
+            out = np.array(step.out_shape[:2])
             if isinstance(layer, Conv):
                 k, pad = np.array(layer.kernel), layer.padding
-                out = np.array(base.shape[:2]) - k + 1
                 lo = np.clip(lo - (k - 1) + pad, 0, out)
                 size = np.minimum(size + k - 1, out)
                 span, scale, shift = size + k - 1, 1, pad
             else:
                 win = layer.window
-                out = np.array(base.shape[:2]) // win
                 lo = np.minimum(lo // win, out)
                 size = np.minimum((size + win - 2) // win + 1, out)
                 span, scale, shift = size * win, win, 0
             first = np.minimum(lo, out - size)
             region = _splice(base, first * scale, span, values, vstart + shift)
-            values = apply_layer(layer, p, region, padding=0)
+            values = apply_layer(step, model.params, region, padding=0)
             vstart = first
         flat = _splice(clean_features, np.zeros_like(vstart), clean_features.shape[:2],
                        values, vstart)
@@ -273,9 +272,7 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
         block_end = min(block + _HEAD_ROWS, len(positions))
         x = np.concatenate([features(positions[s:min(s + chunk, block_end)])
                             for s in range(block, block_end, chunk)])
-        for layer, p in zip(model.layers[split:], params[split:]):
-            x = apply_layer(layer, p, x)
-        logits.append(x)
+        logits.append(walk(x, model.plan[split:], model.params))
     return check_finite(np.concatenate(logits), "logits")
 
 

@@ -9,7 +9,7 @@ from otlab.cli import main
 from otlab.config import ExperimentConfig
 from otlab.data import save_pgm
 from otlab.engine import load_checkpoint, read_checkpoint, save_checkpoint
-from otlab.engine.model import Dense, Model
+from otlab.engine.model import Dense, Model, default_architecture, init_model
 from otlab.errors import ConfigError
 from otlab.evaluation import make_verification_pairs, save_pairs_csv
 
@@ -210,6 +210,26 @@ def test_corrupt_checkpoint_exits_2_naming_field(tmp_path, runner):
                                   "--out", str(tmp_path / "s2"), str(path)])
     assert result.exit_code == 2
     assert "tensor 'dense1.bias' offset must be a nonnegative integer" in result.output
+
+
+def test_checkpoint_with_a_misshapen_tensor_exits_2(tmp_path, runner):
+    model = init_model(default_architecture(10, 4), 0)
+    model.params["conv1.weight"] = np.zeros((2, 2, 1, 8))   # under a 3x3 conv layer
+    path = tmp_path / "bad.otl"
+    save_checkpoint(model, path)
+    result = runner.invoke(main, ["occlusion-map", "--config", str(write_config(tmp_path)),
+                                  "--out", str(tmp_path / "s2"), str(path)])
+    assert result.exit_code == 2
+    assert "parameter conv1.weight has shape (2, 2, 1, 8), expected (3, 3, 1, 8)" in result.output
+
+
+def test_malformed_model_input_exits_2(tmp_path, runner):
+    cfg = write_config(tmp_path, model={"input": ["a", 6, 1],
+                                        "layers": [{"type": "dense", "units": 4}]})
+    result = runner.invoke(main, ["train-classifier", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s1")])
+    assert result.exit_code == 2
+    assert "model input must be a number, got 'a'" in result.output
 
 
 def test_missing_checkpoint_exits_2(tmp_path, runner):

@@ -1,6 +1,9 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from otlab.data import Dataset, LabeledImage
@@ -20,7 +23,14 @@ from otlab.engine import (
     train_classifier,
 )
 from otlab.engine import autodiff as ad
-from otlab.engine.model import Conv, Dense, Model
+from otlab.engine.model import (
+    Conv,
+    Dense,
+    Model,
+    default_architecture,
+    layer_from_config,
+    plan_layers,
+)
 from otlab.errors import ConfigError, CorruptionError, DivergenceError, FormatError, StateError
 
 from oracles import conv2d_loops, finite_difference, maxpool_loops, rel_error, softmax_ce_loops
@@ -88,6 +98,85 @@ def test_shapes_must_compose():
         init_model({"input": [4, 4, 1],
                     "layers": [{"type": "conv", "kernel": [7, 7], "filters": 1}]},
                    np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("spec, message", [
+    (["a", 6, 1], "model input must be a number, got 'a'"),
+    ([6, 1.5, 1], "model input must be an integer, got 1.5"),
+    (6, "model input must be [height, width, channels], got 6"),
+    ([6, 6], "model input must be [height, width, channels], got [6, 6]"),
+    ([6, 0, 1], "model input must be positive, got [6, 0, 1]"),
+])
+def test_malformed_model_input_is_a_config_error(spec, message):
+    config = dict(small_config(), input=spec)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        init_model(config, 0)
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("conv1.weight", (2, 2, 1, 2)),     # a 2x2 kernel under a declared 3x3 conv
+    ("conv1.bias", (3,)),
+    ("dense2.weight", (5, 4)),          # 4 outputs under units: 3
+])
+def test_model_rejects_a_tensor_of_the_wrong_shape(rng, name, shape):
+    params = dict(init_model(small_config(), rng).params)
+    expected = params[name].shape
+    params[name] = np.zeros(shape)
+    layers = [layer_from_config(c) for c in small_config()["layers"]]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"parameter {name} has shape {shape}, expected {expected}")):
+        Model((6, 6, 1), layers, params)
+
+
+# bytes of the default net's seed-0 checkpoint: pins the init draws' order,
+# shapes and names
+DEFAULT_INIT_SHA256 = "fe133cb46cd579cb91722fee9c7890b1eceadb13fbe22438be4c56949a920b89"
+
+
+def test_default_init_draws_are_pinned(tmp_path):
+    model = init_model(default_architecture(32, 10), 0)
+    assert list(model.params) == [f"{layer}.{part}" for layer in
+                                  ("conv1", "conv2", "dense1", "dense2")
+                                  for part in ("weight", "bias")]
+    path = tmp_path / "init.otl"
+    save_checkpoint(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_INIT_SHA256
+
+
+_SPATIAL_LAYER = st.one_of(
+    st.builds(lambda kh, kw, filters, padding: {"type": "conv", "kernel": [kh, kw],
+                                                "filters": filters, "padding": padding},
+              st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1)),
+    st.just({"type": "relu"}),
+    st.builds(lambda window: {"type": "maxpool", "window": window}, st.integers(2, 3)),
+)
+
+
+@settings(max_examples=60)
+@given(height=st.integers(2, 9), width=st.integers(2, 9), channels=st.integers(1, 2),
+       spatial=st.lists(_SPATIAL_LAYER, max_size=5),
+       head=st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3),
+       batch=st.sampled_from([1, 7, 33]), seed=st.integers(0, 2 ** 16))
+def test_trace_and_forward_compute_the_same_bits(height, width, channels, spatial, head,
+                                                 batch, seed):
+    input_spec = [height, width, channels]
+    layers = []
+    for cfg in spatial:
+        try:
+            plan_layers(input_spec, [layer_from_config(c) for c in layers + [cfg]])
+        except ConfigError:
+            continue        # too large for what is left of the image
+        layers.append(cfg)
+    for relu, units in head:
+        if relu:
+            layers.append({"type": "relu"})
+        layers.append({"type": "dense", "units": units})
+    assume(len(layers) >= 2)    # the features need a layer before the classifier
+    model = init_model({"input": input_spec, "layers": layers}, seed)
+    x = np.random.default_rng(seed).normal(size=(batch, height, width, channels))
+    assert np.array_equal(trace(model, x).logits.value, forward(model, x))
+    assert np.array_equal(trace(model, x, through="features").features.value,
+                          forward_features(model, x))
 
 
 # ------------------------------------------------------------- softmax CE
@@ -355,6 +444,16 @@ def test_checkpoint_non_finite_tensor_rejected(rng, tmp_path):
     path = tmp_path / "model.otl"
     save_checkpoint(model, path)
     with pytest.raises(CorruptionError, match="'conv1.bias' holds a non-finite value"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_with_a_misshapen_tensor_is_corrupt(rng, tmp_path):
+    model = init_model(small_config(), rng)
+    model.params["conv1.weight"] = np.zeros((2, 2, 1, 2))   # under a 3x3 conv layer
+    path = tmp_path / "model.otl"
+    save_checkpoint(model, path)
+    with pytest.raises(CorruptionError, match=re.escape(
+            "parameter conv1.weight has shape (2, 2, 1, 2), expected (3, 3, 1, 2)")):
         read_checkpoint(path)
 
 
