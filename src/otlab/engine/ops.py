@@ -34,27 +34,25 @@ def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
     return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
 
 
-def _conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                    padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution output and the (N*Ho*Wo, kh*kw*C) patch matrix it multiplied."""
-    kh, kw, cin, cout = weight.shape
-    cols = _im2col(x, kh, kw, padding)
+def _conv2d_forward(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Convolution output from the (N, Ho, Wo, kh, kw, C) patches of ``_im2col``."""
     n, ho, wo = cols.shape[:3]
-    flat_cols = cols.reshape(n * ho * wo, kh * kw * cin)
-    out = flat_cols @ weight.reshape(kh * kw * cin, cout)
-    return out.reshape(n, ho, wo, cout) + bias, flat_cols
+    out = cols.reshape(n * ho * wo, -1) @ weight.reshape(-1, weight.shape[3])
+    return out.reshape(n, ho, wo, -1) + bias
 
 
 def conv2d_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int = 0) -> np.ndarray:
-    return _conv2d_forward(x, weight, bias, padding)[0]
+    return _conv2d_forward(_im2col(x, *weight.shape[:2], padding), weight, bias)
 
 
 def conv2d(x, weight, bias, padding: int = 0) -> Node:
     x, weight, bias = as_node(x), as_node(weight), as_node(bias)
-    out, flat_cols = _conv2d_forward(x.value, weight.value, bias.value, padding)
-    n, ho, wo, cout = out.shape
     w_value = weight.value
-    kh, kw, cin, _ = w_value.shape
+    kh, kw, cin, cout = w_value.shape
+    cols = _im2col(x.value, kh, kw, padding)
+    out = _conv2d_forward(cols, w_value, bias.value)
+    n, ho, wo = cols.shape[:3]
+    flat_cols = cols.reshape(n * ho * wo, kh * kw * cin)
 
     def vjp_x(g):
         dcols = (g.reshape(n * ho * wo, cout) @ w_value.reshape(-1, cout).T)
@@ -114,21 +112,20 @@ def maxpool(x, window: int) -> Node:
 
 # ---------------------------------------------------------------- dense
 
-def _dense_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense output and the (N, d_in) flattened input it multiplied."""
-    flat = x.reshape(x.shape[0], -1)
-    return flat @ weight + bias, flat
+def _dense_forward(flat: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Dense output from the (N, d_in) flattened input."""
+    return flat @ weight + bias
 
 
 def dense_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return _dense_forward(x, weight, bias)[0]
+    return _dense_forward(x.reshape(x.shape[0], -1), weight, bias)
 
 
 def dense(x, weight, bias) -> Node:
     x, weight, bias = as_node(x), as_node(weight), as_node(bias)
     in_shape = x.value.shape
-    out, flat = _dense_forward(x.value, weight.value, bias.value)
+    flat = x.value.reshape(in_shape[0], -1)
+    out = _dense_forward(flat, weight.value, bias.value)
     return Node(out, [
         (x, lambda g: (g @ weight.value.T).reshape(in_shape)),
         (weight, lambda g: flat.T @ g),
