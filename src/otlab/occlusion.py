@@ -267,12 +267,14 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
                        values, vstart)
         return flat.reshape(len(centers), -1)
 
-    logits = []
-    for block in range(0, len(positions), _HEAD_ROWS):
+    def head_input(block: int) -> np.ndarray:
         block_end = min(block + _HEAD_ROWS, len(positions))
-        x = np.concatenate([features(positions[s:min(s + chunk, block_end)])
-                            for s in range(block, block_end, chunk)])
-        logits.append(walk(x, model.plan[split:], model.params))
+        return np.concatenate([features(positions[s:min(s + chunk, block_end)])
+                               for s in range(block, block_end, chunk)])
+
+    # no name holds a block, so the walk frees it at its first layer
+    logits = [walk(head_input(block), model.plan[split:], model.params)
+              for block in range(0, len(positions), _HEAD_ROWS)]
     return check_finite(np.concatenate(logits), "logits")
 
 
