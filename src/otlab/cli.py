@@ -6,7 +6,7 @@ augmentation, fine-tune the embedding with a triplet objective, then
 evaluate verification performance. Each stage consumes the previous
 stage's checkpoint.
 
-Every command takes --config/--seed/--out/--workers, validates its inputs
+Every pipeline command takes --config/--seed/--out, validates its inputs
 fully before writing anything, and is deterministic: rerunning with the
 same config, inputs and seed reproduces every output file byte for byte.
 
@@ -81,8 +81,6 @@ def _common(f):
                      help="Run seed; overrides the config seed.")(f)
     f = click.option("--out", "out_dir", required=True, type=click.Path(),
                      help="Output directory (created if missing).")(f)
-    f = click.option("--workers", type=int, default=1, show_default=True,
-                     help="Worker threads for occlusion-map scans.")(f)
     return f
 
 
@@ -100,7 +98,7 @@ def main():
 
 @main.command("train-classifier")
 @_common
-def cmd_train_classifier(config_path, seed, out_dir, workers):
+def cmd_train_classifier(config_path, seed, out_dir):
     """Train the classification model from scratch."""
 
     def body():
@@ -126,6 +124,8 @@ def cmd_train_classifier(config_path, seed, out_dir, workers):
 
 @main.command("occlusion-map")
 @_common
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Worker threads for the scans.")
 @click.argument("checkpoint_path", type=click.Path())
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
@@ -167,7 +167,7 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
 @click.argument("base_checkpoint", type=click.Path())
 @click.option("--map", "map_path", type=click.Path(), default=None,
               help="Occlusion map CSV (required for placement mode P).")
-def cmd_train_augmented(config_path, seed, out_dir, workers, base_checkpoint, map_path):
+def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
 
     def body():
@@ -216,7 +216,7 @@ def cmd_train_augmented(config_path, seed, out_dir, workers, base_checkpoint, ma
 @main.command("finetune-triplet")
 @_common
 @click.argument("base_checkpoint", type=click.Path())
-def cmd_finetune_triplet(config_path, seed, out_dir, workers, base_checkpoint):
+def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
 
     def body():
@@ -251,7 +251,7 @@ def cmd_finetune_triplet(config_path, seed, out_dir, workers, base_checkpoint):
 @click.argument("checkpoint_path", type=click.Path())
 @click.option("--pairs", "pairs_path", type=click.Path(), default=None,
               help="Pairs CSV (id_a,id_b,is_match); overrides config eval.pairs.")
-def cmd_evaluate(config_path, seed, out_dir, workers, checkpoint_path, pairs_path):
+def cmd_evaluate(config_path, seed, out_dir, checkpoint_path, pairs_path):
     """Score verification pairs; write ROC and k-fold accuracy reports."""
 
     def body():

@@ -46,23 +46,33 @@ class Dense:
 
 LayerSpec = Conv | Relu | MaxPool | Dense
 
+# Images per inference forward (embeddings, accuracy, map predictions); the
+# occlusion scan's dense head uses the same blocks to keep a full forward's bits.
+INFERENCE_ROWS = 256
+
 
 def layer_from_config(cfg: dict) -> LayerSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"a layer must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
 
-    def field(key, default=None):
+    def size(value, key, least=1):
+        value = as_number(value, f"{kind} {key}", integer=True)
+        if value < least:
+            raise ConfigError(f"{kind} {key} must be at least {least}, got {value}")
+        return value
+
+    def field(key, default=None, least=1):
         if key not in cfg and default is None:
             raise ConfigError(f"{kind} layer needs {key!r}")
-        return as_number(cfg.get(key, default), f"{kind} {key}", integer=True)
+        return size(cfg.get(key, default), key, least)
 
     if kind == "conv":
         kernel = cfg.get("kernel")
         if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
             raise ConfigError(f"conv kernel must be [height, width], got {kernel!r}")
-        kh, kw = (as_number(v, "conv kernel", integer=True) for v in kernel)
-        return Conv((kh, kw), field("filters"), field("padding", 0))
+        kh, kw = (size(v, "kernel") for v in kernel)
+        return Conv((kh, kw), field("filters"), field("padding", 0, least=0))
     if kind == "relu":
         return Relu()
     if kind == "maxpool":
@@ -142,7 +152,7 @@ def plan_layers(input_spec, layers) -> list[LayerPlan]:
 
 
 class Model:
-    """A sequential conv/pool/relu/dense network with named parameters."""
+    """A sequential conv/pool/relu/dense network; ``params`` are in plan order."""
 
     def __init__(self, input_spec, layers, params: dict[str, np.ndarray]):
         self.input_spec = _input_shape(input_spec)
@@ -152,7 +162,7 @@ class Model:
         if set(shapes) != set(params):
             missing = set(shapes) ^ set(params)
             raise ConfigError(f"parameter set does not match layers: {sorted(missing)}")
-        self.params = {name: np.asarray(v, dtype=np.float64) for name, v in params.items()}
+        self.params = {name: np.asarray(params[name], dtype=np.float64) for name in shapes}
         for name, shape in shapes.items():
             if self.params[name].shape != shape:
                 raise ConfigError(f"parameter {name} has shape {self.params[name].shape}, "

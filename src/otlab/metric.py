@@ -12,10 +12,10 @@ The batch form penalizes the spread of both score distributions, not just
 the gap between their means, so it targets the decidability statistic
 directly. Online sampling restricts a batch to margin-violating triplets.
 
-Both objectives gather d_ap and d_an from one (n, n) squared-distance matrix
-over the pool, built from differences so each entry is bit-equal to that
-pair's own distance. Mining lists triplets in lexicographic (a, p, n)
-order; README "Triplet objectives" has the details.
+Fine-tuning and the test-facing API share one path: per pool, one
+``autodiff.sq_distances`` node whose entries equal each pair's own distance
+bit for bit. Mining reads its value; the loss and the batch statistics read
+the d_ap and d_an nodes gathered from it. README "Triplet objectives" has more.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset, LabeledImage
 from .engine import autodiff
 from .engine.autodiff import Node, gradients
-from .engine.model import Model, forward_features, trace
+from .engine.model import INFERENCE_ROWS, Model, forward_features, trace
 from .engine.ops import l2_normalize
 from .engine.optim import Sgd
 from .errors import DivergenceError, StateError
@@ -70,21 +70,27 @@ class FinetuneSchedule:
 
 
 class TripletBatch:
-    """Triplets of pool indices with their distance lists and batch stats."""
+    """Triplets of pool indices with their distance nodes and batch stats.
 
-    def __init__(self, vectors: np.ndarray, labels: np.ndarray, triplets,
-                 embeddings: list[Embedding] | None = None):
-        self.vectors = np.asarray(vectors, dtype=np.float64)
+    ``pool`` is the pool's ``autodiff.sq_distances`` node, or its (n, D)
+    vectors, which become the leaf ``points`` under a new such node.
+    """
+
+    def __init__(self, pool, labels, triplets):
+        self.distances = pool if isinstance(pool, Node) else autodiff.sq_distances(Node(pool))
+        ((self.points, _),) = self.distances.parents
+        self.vectors = self.points.value
         self.labels = np.asarray(labels, dtype=np.int64)
         self.index = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)   # (T, 3): a, p, n
-        self.embeddings = embeddings
         a, p, n = (self.labels[col] for col in self.index.T)
         bad = np.flatnonzero((a != p) | (a == n))
         if bad.size:
             i = bad[0]
             what = "positive labels differ" if a[i] != p[i] else "negative share a label"
             raise ValueError("triplet ({},{},{}): anchor and ".format(*self.index[i]) + what)
-        self.d_ap, self.d_an = (d.value for d in _distance_nodes(Node(self.vectors), self.index))
+        row = self.index[:, 0] * self.distances.shape[0]
+        self.d_ap, self.d_an = (autodiff.take_flat(self.distances, row + col)
+                                for col in self.index.T[1:])
 
     @property
     def triplets(self) -> list[tuple[int, int, int]]:
@@ -95,29 +101,29 @@ class TripletBatch:
 
     @property
     def mu_ap(self) -> float:
-        return float(self.d_ap.mean())
+        return float(self.d_ap.value.mean())
 
     @property
     def mu_an(self) -> float:
-        return float(self.d_an.mean())
+        return float(self.d_an.value.mean())
 
     @property
     def var_ap(self) -> float:
-        return float(self.d_ap.var())    # population variance
+        return float(self.d_ap.value.var())    # population variance
 
     @property
     def var_an(self) -> float:
-        return float(self.d_an.var())
+        return float(self.d_an.value.var())
 
 
 # ------------------------------------------------------------ embeddings
 
-def embed(model: Model, images, batch_size: int = 256) -> list[Embedding]:
+def embed(model: Model, images) -> list[Embedding]:
     """Unit-norm bottleneck embeddings for a Dataset or list of images."""
     items: list[LabeledImage] = list(images.images) if isinstance(images, Dataset) else list(images)
     out: list[Embedding] = []
-    for start in range(0, len(items), batch_size):
-        block = items[start:start + batch_size]
+    for start in range(0, len(items), INFERENCE_ROWS):
+        block = items[start:start + INFERENCE_ROWS]
         feats = forward_features(model, np.stack([im.pixels for im in block])[:, :, :, np.newaxis])
         norms = np.sqrt((feats * feats).sum(axis=1))
         if np.any(norms == 0.0):
@@ -141,23 +147,18 @@ def distance(a, b) -> float:
 
 # ------------------------------------------------------------ loss graphs
 
-def _distance_nodes(z: Node, triplets) -> tuple[Node, Node]:
-    anchor, positive, negative = np.asarray(triplets, dtype=np.intp).T
-    d, row = autodiff.sq_distances(z), anchor * z.shape[0]
-    return autodiff.take_flat(d, row + positive), autodiff.take_flat(d, row + negative)
+MIN_TRIPLETS = {"standard": 1, "batch": 2}     # the batch form's variances need two
 
 
-def standard_loss_node(z: Node, triplets, alpha: float) -> Node:
-    d_ap, d_an = _distance_nodes(z, triplets)
-    return autodiff.sum_along(autodiff.relu(d_ap - d_an + alpha))
+def standard_loss_node(batch: TripletBatch, alpha: float) -> Node:
+    return autodiff.sum_along(autodiff.relu(batch.d_ap - batch.d_an + alpha))
 
 
-def batch_loss_node(z: Node, triplets, alpha: float, beta: float) -> Node:
-    d_ap, d_an = _distance_nodes(z, triplets)
-    mu_ap = autodiff.mean_along(d_ap)
-    mu_an = autodiff.mean_along(d_an)
-    var_ap = autodiff.mean_along(autodiff.square(d_ap - mu_ap))
-    var_an = autodiff.mean_along(autodiff.square(d_an - mu_an))
+def batch_loss_node(batch: TripletBatch, alpha: float, beta: float) -> Node:
+    mu_ap = autodiff.mean_along(batch.d_ap)
+    mu_an = autodiff.mean_along(batch.d_an)
+    var_ap = autodiff.mean_along(autodiff.square(batch.d_ap - mu_ap))
+    var_an = autodiff.mean_along(autodiff.square(batch.d_an - mu_an))
     return (1.0 - beta) * (mu_ap - mu_an + alpha) + beta * (var_ap + var_an)
 
 
@@ -167,46 +168,45 @@ def standard_triplet_loss(batch: TripletBatch, alpha: float) -> tuple[float, np.
     Inactive triplets (margin satisfied) contribute zero loss and zero
     subgradient.
     """
-    if len(batch) == 0:
+    if len(batch) < MIN_TRIPLETS["standard"]:
         raise StateError("standard triplet loss needs a nonempty batch")
-    z = Node(batch.vectors)
-    loss = standard_loss_node(z, batch.index, alpha)
-    (grad,) = gradients(loss, [z])
-    return float(loss.value), grad
+    loss = standard_loss_node(batch, alpha)
+    return float(loss.value), gradients(loss, [batch.points])[0]
 
 
 def batch_triplet_loss(batch: TripletBatch, alpha: float, beta: float) -> tuple[float, np.ndarray]:
     """Mean-separation plus variance loss and its embedding gradients."""
-    if len(batch) < 2:
-        raise ValueError("batch triplet loss needs at least 2 triplets "
+    if len(batch) < MIN_TRIPLETS["batch"]:
+        raise ValueError(f"batch triplet loss needs at least {MIN_TRIPLETS['batch']} triplets "
                          "(variances require more than one sample)")
-    z = Node(batch.vectors)
-    loss = batch_loss_node(z, batch.index, alpha, beta)
-    (grad,) = gradients(loss, [z])
-    return float(loss.value), grad
+    loss = batch_loss_node(batch, alpha, beta)
+    return float(loss.value), gradients(loss, [batch.points])[0]
 
 
 # -------------------------------------------------------- triplet mining
 
-def _violating_triplets(vectors: np.ndarray, labels: np.ndarray, alpha: float,
+def _violating_triplets(distances: np.ndarray, labels: np.ndarray, alpha: float,
                         *, online: bool = True) -> np.ndarray:
     """(T, 3) array of all (a, p != a) sharing a label and n of another, in
-    lexicographic order; ``online`` keeps margin violators (d_ap + alpha > d_an)."""
-    labels = np.asarray(labels)
+    lexicographic order; ``online`` keeps margin violators (d_ap + alpha > d_an)
+    of the (n, n) squared-distance matrix ``distances``."""
     same = labels[:, None] == labels[None, :]
     mask = (same & ~np.eye(len(labels), dtype=bool))[:, :, None] & ~same[:, None, :]
     if online:
-        d = autodiff.sq_distances(vectors).value
-        mask &= d[:, :, None] + alpha > d[:, None, :]
+        mask &= distances[:, :, None] + alpha > distances[:, None, :]
     return np.stack(np.nonzero(mask), axis=1)
 
 
-def _cap_triplets(triplets: np.ndarray, max_triplets: int | None, rng) -> np.ndarray:
-    """Seeded, order-keeping subsample of at most ``max_triplets`` rows."""
-    if max_triplets is None or len(triplets) <= max_triplets:
-        return triplets
-    keep = np.sort(as_rng(rng).choice(len(triplets), size=max_triplets, replace=False))
-    return triplets[keep]
+def _mine(distances: Node, labels: np.ndarray, alpha: float, online: bool,
+          max_triplets: int | None, rng) -> TripletBatch:
+    """The batch of the pool's triplets over its ``sq_distances`` node, capped
+    to a seeded, order-keeping subsample of ``max_triplets`` rows (``rng`` is
+    drawn from only when the cap bites)."""
+    triplets = _violating_triplets(distances.value, labels, alpha, online=online)
+    if max_triplets is not None and len(triplets) > max_triplets:
+        triplets = triplets[np.sort(as_rng(rng).choice(len(triplets), size=max_triplets,
+                                                       replace=False))]
+    return TripletBatch(distances, labels, triplets)
 
 
 def online_sample_triplets(embeddings: list[Embedding], alpha: float,
@@ -223,9 +223,8 @@ def online_sample_triplets(embeddings: list[Embedding], alpha: float,
         raise ValueError("pool has no class with two samples; no anchor-positive pair exists")
     if len(counts) < 2:
         raise ValueError("pool needs at least two classes to form negatives")
-    vectors = np.stack([e.vector for e in embeddings])
-    triplets = _cap_triplets(_violating_triplets(vectors, labels, alpha), max_triplets, rng)
-    return TripletBatch(vectors, labels, triplets, embeddings=list(embeddings))
+    points = Node(np.stack([e.vector for e in embeddings]))
+    return _mine(autodiff.sq_distances(points), labels, alpha, True, max_triplets, rng)
 
 
 # ------------------------------------------------------------ statistics
@@ -286,19 +285,15 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
         labels = dataset.label_array()[pool_idx]
 
         run = trace(model, images, through="features")
-        z = l2_normalize(run.features)
-        triplets = _cap_triplets(
-            _violating_triplets(z.value, labels, config.alpha, online=config.online),
-            config.max_triplets, rng)
+        distances = autodiff.sq_distances(l2_normalize(run.features))
+        batch = _mine(distances, labels, config.alpha, config.online, config.max_triplets, rng)
 
         row = {"step": step, "loss": nan, "mu_ap": nan, "mu_an": nan,
                "var_ap": nan, "var_an": nan, "decidability": nan,
-               "triplet_count": len(triplets)}
-        needed = 1 if config.mode == "standard" else 2
-        if len(triplets) >= needed:
-            batch = TripletBatch(z.value, labels, triplets)
-            loss_node = (standard_loss_node(z, triplets, config.alpha) if config.mode == "standard"
-                         else batch_loss_node(z, triplets, config.alpha, config.beta))
+               "triplet_count": len(batch)}
+        if len(batch) >= MIN_TRIPLETS[config.mode]:
+            loss_node = (standard_loss_node(batch, config.alpha) if config.mode == "standard"
+                         else batch_loss_node(batch, config.alpha, config.beta))
             loss = float(loss_node.value)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite fine-tuning loss at step {step}")
@@ -308,7 +303,7 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
             row.update(loss=loss, mu_ap=batch.mu_ap, mu_an=batch.mu_an,
                        var_ap=batch.var_ap, var_an=batch.var_an)
             if len(batch) >= 2 and batch.var_ap + batch.var_an > 0:
-                row["decidability"] = decidability(batch.d_ap, batch.d_an)
+                row["decidability"] = decidability(batch.d_ap.value, batch.d_an.value)
         rows.append(row)
     return model, rows
 

@@ -24,7 +24,7 @@ Each layer recomputes the window [lo, lo + s), clipped to its output and
 moved inward at the far border, from its clean input with the previous
 window spliced in, using the same kernels as a full forward; the last
 window is spliced into the clean features and the dense head runs on the
-same 256-row blocks as a 256-image full forward. Each recomputed value thus
+same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
 has the same inputs and kernel as in the full forward, and the logits are
 bit-identical to it wherever the BLAS rounds a GEMM row independently of
 the call's other rows (true for the default net; where it is not, the full
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledImage, save_pgm
-from .engine.model import Conv, Model, Relu, apply_layer, forward, walk
+from .engine.model import INFERENCE_ROWS, Conv, Model, Relu, apply_layer, forward, walk
 from .errors import FormatError, ProtocolError
 from .validation import as_number, as_rng, check_finite
 
@@ -55,9 +55,6 @@ _DEFAULT_LEVEL_RANGES = {
 
 # temperatures paired with the small/medium/large default occluders
 DEFAULT_TEMPERATURES = {"small": 0.25, "medium": 0.4, "large": 0.6}
-
-# positions per head GEMM: the batch of a 256-image full forward
-_HEAD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -267,14 +264,12 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
                        values, vstart)
         return flat.reshape(len(centers), -1)
 
-    def head_input(block: int) -> np.ndarray:
-        block_end = min(block + _HEAD_ROWS, len(positions))
-        return np.concatenate([features(positions[s:min(s + chunk, block_end)])
-                               for s in range(block, block_end, chunk)])
+    def head_input(block: np.ndarray) -> np.ndarray:
+        return np.concatenate([features(block[s:s + chunk]) for s in range(0, len(block), chunk)])
 
     # no name holds a block, so the walk frees it at its first layer
-    logits = [walk(head_input(block), model.plan[split:], model.params)
-              for block in range(0, len(positions), _HEAD_ROWS)]
+    logits = [walk(head_input(positions[s:s + INFERENCE_ROWS]), model.plan[split:], model.params)
+              for s in range(0, len(positions), INFERENCE_ROWS)]
     return check_finite(np.concatenate(logits), "logits")
 
 
@@ -342,9 +337,8 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
         raise ProtocolError("no images supplied for the occlusion map")
     rng = as_rng(rng)
     stack = np.stack([im.pixels for im in images])[:, :, :, np.newaxis]
-    predictions = np.empty(len(images), dtype=np.int64)
-    for start in range(0, len(images), 256):
-        predictions[start:start + 256] = np.argmax(forward(model, stack[start:start + 256]), axis=1)
+    predictions = np.concatenate([np.argmax(forward(model, stack[s:s + INFERENCE_ROWS]), axis=1)
+                                  for s in range(0, len(images), INFERENCE_ROWS)])
 
     selected = [im for im, p in zip(images, predictions) if p == im.label]
     excluded = len(images) - len(selected)

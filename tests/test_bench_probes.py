@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import probes  # noqa: E402
@@ -24,7 +26,9 @@ import otlab.evaluation  # noqa: E402
 import otlab.metric  # noqa: E402
 import otlab.occlusion  # noqa: E402
 from otlab.config import ExperimentConfig  # noqa: E402
+from otlab.data import SyntheticSpec, generate_synthetic  # noqa: E402
 from otlab.engine.model import default_architecture, forward, init_model, trace  # noqa: E402
+from otlab.metric import FinetuneSchedule, LossConfig  # noqa: E402
 
 
 def _namespaces():
@@ -64,3 +68,23 @@ def test_probes_count_each_kernel_call_once(rng):
         patcher.restore()
     assert Counter(span.name for span in tracer.spans) == {
         "ops.conv2d": 4, "ops.relu": 4, "ops.maxpool": 4, "ops.dense": 4}
+
+
+def test_probes_time_each_finetune_phase_once_per_update(rng):
+    # offline mining on a 12-image pool always yields a batch, so every step updates
+    dataset = generate_synthetic(SyntheticSpec(class_count=3, samples_per_class=6,
+                                               image_size=8, seed=0))
+    model = init_model(default_architecture(8, 3), rng)
+    tracer, patcher = Tracer(), Patcher()
+    try:
+        probes.install(tracer, patcher)
+        _, rows = otlab.metric.finetune(
+            model, dataset, LossConfig(mode="batch", online=False),
+            FinetuneSchedule(steps=3, lr=0.001, pool_classes=3, pool_per_class=4), rng)
+    finally:
+        patcher.restore()
+    assert sum(np.isfinite(row["loss"]) for row in rows) == 3
+    counts = Counter(span.name for span in tracer.spans)
+    phases = ("metric.mine", "metric.batch_stats", "metric.loss_build",
+              "engine.trace", "engine.backward", "engine.sgd")
+    assert {name: counts[name] for name in phases} == dict.fromkeys(phases, 3)

@@ -232,6 +232,16 @@ def test_malformed_model_input_exits_2(tmp_path, runner):
     assert "model input must be a number, got 'a'" in result.output
 
 
+def test_zero_pool_window_exits_2(tmp_path, runner):
+    cfg = write_config(tmp_path, model={"input": [10, 10, 1],
+                                        "layers": [{"type": "maxpool", "window": 0},
+                                                   {"type": "dense", "units": 4}]})
+    result = runner.invoke(main, ["train-classifier", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s1")])
+    assert result.exit_code == 2
+    assert "maxpool window must be at least 1, got 0" in result.output
+
+
 def test_missing_checkpoint_exits_2(tmp_path, runner):
     cfg = write_config(tmp_path)
     result = runner.invoke(main, ["occlusion-map", "--config", str(cfg),
@@ -281,7 +291,7 @@ def test_diverging_finetune_exits_3_naming_parameter(tmp_path, runner):
                                       "--out", str(tmp_path / "s4"),
                                       str(out / "checkpoint.otl")])
     assert result.exit_code == 3
-    assert "non-finite parameter conv1.bias after the update at step 1" in result.output
+    assert "non-finite parameter conv1.weight after the update at step 1" in result.output
 
 
 def test_malformed_pairs_row_exits_2_with_line(tmp_path, runner):

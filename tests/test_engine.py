@@ -113,6 +113,19 @@ def test_malformed_model_input_is_a_config_error(spec, message):
         init_model(config, 0)
 
 
+@pytest.mark.parametrize("layer, message", [
+    ({"type": "maxpool", "window": 0}, "maxpool window must be at least 1, got 0"),
+    ({"type": "conv", "kernel": [0, 3], "filters": 2}, "conv kernel must be at least 1, got 0"),
+    ({"type": "conv", "kernel": [3, 3], "filters": 2, "padding": -1},
+     "conv padding must be at least 0, got -1"),
+    ({"type": "conv", "kernel": [3, 3], "filters": 0}, "conv filters must be at least 1, got 0"),
+    ({"type": "dense", "units": 0}, "dense units must be at least 1, got 0"),
+])
+def test_non_positive_layer_sizes_are_config_errors(layer, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        layer_from_config(layer)
+
+
 @pytest.mark.parametrize("name, shape", [
     ("conv1.weight", (2, 2, 1, 2)),     # a 2x2 kernel under a declared 3x3 conv
     ("conv1.bias", (3,)),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from otlab import metric
 from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
-from otlab.engine import Schedule, forward_features, init_model, train_classifier
+from otlab.engine import Schedule, autodiff, forward_features, init_model, train_classifier
 from otlab.errors import DivergenceError, StateError
 from otlab.metric import (
     Embedding,
@@ -127,9 +127,9 @@ def test_batch_stats_recomputable_from_distance_lists(rng):
     pool = make_pool(rng)
     batch = online_sample_triplets(pool, alpha=0.5)
     assert len(batch) > 0
-    assert batch.mu_ap == pytest.approx(float(np.mean(batch.d_ap)), abs=1e-12)
-    assert batch.var_ap == pytest.approx(float(np.mean((batch.d_ap - np.mean(batch.d_ap)) ** 2)),
-                                         abs=1e-12)
+    d_ap = batch.d_ap.value
+    assert batch.mu_ap == pytest.approx(float(np.mean(d_ap)), abs=1e-12)
+    assert batch.var_ap == pytest.approx(float(np.mean((d_ap - np.mean(d_ap)) ** 2)), abs=1e-12)
 
 
 def test_triplet_label_contract_enforced():
@@ -305,7 +305,8 @@ def _tie_prone_pools(draw):
 @given(_tie_prone_pools(), st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.booleans())
 def test_miner_equals_ordered_oracle(pool, alpha, online):
     vectors, labels = pool
-    mined = metric._violating_triplets(vectors, labels, alpha, online=online)
+    distances = autodiff.sq_distances(vectors)
+    mined = metric._mine(distances, labels, alpha, online, None, None).index
     assert mined.shape == (len(mined), 3)
     assert [tuple(t) for t in mined.tolist()] == violating_triplets_ordered_loops(
         vectors, labels, alpha, online)
@@ -316,18 +317,23 @@ def test_finetune_cap_selects_oracle_triplets(monkeypatch, online):
     # each step's capped batch must be the seeded draw over the oracle's
     # ordered list, taken from the rng state the miner was called with
     rng = np.random.default_rng(5)
-    mine, build = metric._violating_triplets, metric.batch_loss_node
+    normalize, mine, build = metric.l2_normalize, metric._violating_triplets, metric.batch_loss_node
     steps = []
 
-    def recording_mine(vectors, labels, alpha, *, online):
-        steps.append({"vectors": vectors.copy(), "labels": labels.copy(),
-                      "state": rng.bit_generator.state})
-        return mine(vectors, labels, alpha, online=online)
+    def recording_normalize(features):
+        z = normalize(features)
+        steps.append({"vectors": z.value.copy()})
+        return z
 
-    def recording_build(z, triplets, alpha, beta):
-        steps[-1]["used"] = [tuple(t) for t in np.asarray(triplets).tolist()]
-        return build(z, triplets, alpha, beta)
+    def recording_mine(distances, labels, alpha, *, online):
+        steps[-1].update(labels=labels.copy(), state=rng.bit_generator.state)
+        return mine(distances, labels, alpha, online=online)
 
+    def recording_build(batch, alpha, beta):
+        steps[-1]["used"] = batch.triplets
+        return build(batch, alpha, beta)
+
+    monkeypatch.setattr(metric, "l2_normalize", recording_normalize)
     monkeypatch.setattr(metric, "_violating_triplets", recording_mine)
     monkeypatch.setattr(metric, "batch_loss_node", recording_build)
     cap = 32
@@ -347,6 +353,21 @@ def test_finetune_cap_selects_oracle_triplets(monkeypatch, online):
             assert step["used"] == expected
             compared += 1
     assert compared >= 3
+
+
+@pytest.mark.parametrize("mode", ["standard", "batch"])
+@pytest.mark.parametrize("online", [False, True])
+def test_finetune_builds_one_distance_matrix_per_step(monkeypatch, mode, online):
+    # mining, the batch statistics and the loss all read one sq_distances node
+    calls = []
+    real = autodiff.sq_distances
+    monkeypatch.setattr(autodiff, "sq_distances", lambda x: calls.append(1) or real(x))
+    steps = 3
+    finetune(small_model(np.random.default_rng(2)), _tiny_dataset(seed=3),
+             LossConfig(mode=mode, alpha=0.5, online=online),
+             FinetuneSchedule(steps=steps, lr=0.001, pool_classes=3, pool_per_class=4),
+             np.random.default_rng(5))
+    assert len(calls) == steps
 
 
 def test_max_triplets_cap_is_seeded_subsample(rng):
