@@ -17,6 +17,7 @@ to build a map from).
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from .errors import ConfigError, DivergenceError, FormatError, ProtocolError
 from .validation import as_rng
 
 CHECKPOINT_NAME = "checkpoint.otl"
+CLASSIFIER_LOG = ["step", "loss", "accuracy"]
 
 
 def _fmt(x) -> str:
@@ -63,18 +65,24 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _run(body):
-    try:
-        body()
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
-        _fail(2, str(exc))
-    except DivergenceError as exc:
-        _fail(3, str(exc))
-    except ProtocolError as exc:
-        _fail(4, str(exc))
+def _exit_codes(command):
+    """Run ``command``, mapping the pipeline's errors to the documented exit codes."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except (ConfigError, FormatError, FileNotFoundError) as exc:
+            _fail(2, str(exc))
+        except DivergenceError as exc:
+            _fail(3, str(exc))
+        except ProtocolError as exc:
+            _fail(4, str(exc))
+    return run
 
 
 def _common(f):
+    """The options and exit codes of every pipeline command."""
+    f = _exit_codes(f)
     f = click.option("--config", "config_path", required=True,
                      type=click.Path(), help="Experiment config (JSON).")(f)
     f = click.option("--seed", type=int, default=None,
@@ -91,6 +99,14 @@ def _load_model(path) -> ckpt.Checkpoint:
     return ckpt.read_checkpoint(p)
 
 
+def _save_training(out: Path, model, rng, cfg: ExperimentConfig, meta: dict,
+                   log_columns: list[str], rows) -> None:
+    """A training stage's checkpoint, tagged with ``meta`` and the seed, and its train_log.csv."""
+    ckpt.save_checkpoint(model, out / CHECKPOINT_NAME, rng_state=_rng_state(rng),
+                         training_meta={**meta, "seed": cfg.seed})
+    _write_csv(out / "train_log.csv", log_columns, rows)
+
+
 @click.group()
 def main():
     """Occlusion-guided augmentation and triplet metric-learning pipelines."""
@@ -100,26 +116,20 @@ def main():
 @_common
 def cmd_train_classifier(config_path, seed, out_dir):
     """Train the classification model from scratch."""
+    cfg = ExperimentConfig.load(config_path, seed)
+    _full, train, _val = cfg.dataset_splits()
+    schedule = cfg.schedule()
+    model_cfg = cfg.model_config(train)
 
-    def body():
-        cfg = ExperimentConfig.load(config_path, seed)
-        _full, train, _val = cfg.dataset_splits()
-        schedule = cfg.schedule()
-        model_cfg = cfg.model_config(train)
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rng = as_rng(cfg.seed)
-        model = init_model(model_cfg, rng)
-        rows = train_classifier(model, train, schedule, rng)
-        ckpt.save_checkpoint(model, out / CHECKPOINT_NAME, rng_state=_rng_state(rng),
-                             training_meta={"stage": "classifier", "steps": schedule.steps,
-                                            "loss_mode": "softmax_ce", "seed": cfg.seed})
-        _write_csv(out / "train_log.csv", ["step", "loss", "accuracy"], rows)
-        final_acc = train_accuracy(model, train)
-        click.echo(f"trained {schedule.steps} steps; train accuracy {final_acc:.4f}")
-
-    _run(body)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = as_rng(cfg.seed)
+    model = init_model(model_cfg, rng)
+    rows = train_classifier(model, train, schedule, rng)
+    _save_training(out, model, rng, cfg, {"stage": "classifier", "steps": schedule.steps,
+                                          "loss_mode": "softmax_ce"}, CLASSIFIER_LOG, rows)
+    final_acc = train_accuracy(model, train)
+    click.echo(f"trained {schedule.steps} steps; train accuracy {final_acc:.4f}")
 
 
 @main.command("occlusion-map")
@@ -129,37 +139,33 @@ def cmd_train_classifier(config_path, seed, out_dir):
 @click.argument("checkpoint_path", type=click.Path())
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
+    cfg = ExperimentConfig.load(config_path, seed)
+    _full, _train, val = cfg.dataset_splits()
+    spec = cfg.occluder()
+    stride = cfg.stride()
+    limit = cfg.map_images()
+    loaded = _load_model(checkpoint_path)
 
-    def body():
-        cfg = ExperimentConfig.load(config_path, seed)
-        _full, _train, val = cfg.dataset_splits()
-        spec = cfg.occluder()
-        stride = cfg.stride()
-        limit = cfg.map_images()
-        loaded = _load_model(checkpoint_path)
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rng = as_rng(cfg.seed)
-        occ_map, info = occlusion.dataset_occlusion_map(
-            loaded.model, val.images, spec, rng, stride=stride, limit=limit,
-            workers=workers)
-        mean_acc, std = evaluation.map_accuracy_stats(occ_map)
-        occlusion.save_map_csv(occ_map, out / "map.csv")
-        occlusion.save_map_pgm(occ_map, out / "map.pgm")
-        _write_json(out / "map_stats.json", {
-            "mean_accuracy": mean_acc,
-            "std": std,
-            "sample_count": occ_map.sample_count,
-            "excluded": info["excluded"],
-            "occluder": [spec.height, spec.width],
-            "stride": stride,
-        })
-        click.echo(f"map over {occ_map.sample_count} images "
-                   f"({info['excluded']} excluded); "
-                   f"mean accuracy {mean_acc:.4f}, std {std:.4f}")
-
-    _run(body)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = as_rng(cfg.seed)
+    occ_map, info = occlusion.dataset_occlusion_map(
+        loaded.model, val.images, spec, rng, stride=stride, limit=limit,
+        workers=workers)
+    mean_acc, std = evaluation.map_accuracy_stats(occ_map)
+    occlusion.save_map_csv(occ_map, out / "map.csv")
+    occlusion.save_map_pgm(occ_map, out / "map.pgm")
+    _write_json(out / "map_stats.json", {
+        "mean_accuracy": mean_acc,
+        "std": std,
+        "sample_count": occ_map.sample_count,
+        "excluded": info["excluded"],
+        "occluder": [spec.height, spec.width],
+        "stride": stride,
+    })
+    click.echo(f"map over {occ_map.sample_count} images "
+               f"({info['excluded']} excluded); "
+               f"mean accuracy {mean_acc:.4f}, std {std:.4f}")
 
 
 @main.command("train-augmented")
@@ -169,48 +175,33 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
               help="Occlusion map CSV (required for placement mode P).")
 def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
+    cfg = ExperimentConfig.load(config_path, seed)
+    _full, train, _val = cfg.dataset_splits()
+    schedule = cfg.schedule()
+    spec = cfg.occluder()
+    mode = cfg.placement_mode()
+    fraction = cfg.occluded_fraction()
+    loaded = _load_model(base_checkpoint)
+    h, w = train.image_shape()
 
-    def body():
-        cfg = ExperimentConfig.load(config_path, seed)
-        _full, train, _val = cfg.dataset_splits()
-        schedule = cfg.schedule()
-        spec = cfg.occluder()
-        mode = cfg.placement_mode()
-        fraction = cfg.occluded_fraction()
-        loaded = _load_model(base_checkpoint)
-        h, w = train.image_shape()
+    if mode == "P":
+        occ_map = occlusion.load_map_csv(cfg.map_path(map_path))
+        if occ_map.grid.shape != (h, w):
+            raise ConfigError(f"map shape {occ_map.grid.shape} does not match "
+                              f"image shape {(h, w)}")
+        placement = occlusion.placement_distribution(occ_map, cfg.temperature())
+    else:
+        placement = "random"
 
-        if mode == "P":
-            source = map_path or cfg.raw.get("map")
-            if source is None:
-                raise ConfigError("placement mode P needs --map (or config \"map\")")
-            if not Path(source).is_file():
-                raise ConfigError(f"map file not found: {source}")
-            occ_map = occlusion.load_map_csv(source)
-            if occ_map.grid.shape != (h, w):
-                raise ConfigError(f"map shape {occ_map.grid.shape} does not match "
-                                  f"image shape {(h, w)}")
-            placement = occlusion.placement_distribution(occ_map, cfg.temperature())
-        else:
-            placement = "random"
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rng = as_rng(cfg.seed)
-        model = loaded.model.copy()
-
-        def augment(images, gen):
-            return occlusion.occlude_fraction(images, fraction, placement, spec, gen)
-
-        rows = train_classifier(model, train, schedule, rng, augment=augment)
-        ckpt.save_checkpoint(model, out / CHECKPOINT_NAME, rng_state=_rng_state(rng),
-                             training_meta={"stage": f"augmented-{mode}",
-                                            "steps": schedule.steps,
-                                            "loss_mode": "softmax_ce", "seed": cfg.seed})
-        _write_csv(out / "train_log.csv", ["step", "loss", "accuracy"], rows)
-        click.echo(f"augmented fine-tuning done ({mode} placement, {schedule.steps} steps)")
-
-    _run(body)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = as_rng(cfg.seed)
+    model = loaded.model.copy()
+    rows = train_classifier(model, train, schedule, rng,
+                            augment=occlusion.augmenter(fraction, placement, spec))
+    _save_training(out, model, rng, cfg, {"stage": f"augmented-{mode}", "steps": schedule.steps,
+                                          "loss_mode": "softmax_ce"}, CLASSIFIER_LOG, rows)
+    click.echo(f"augmented fine-tuning done ({mode} placement, {schedule.steps} steps)")
 
 
 @main.command("finetune-triplet")
@@ -218,32 +209,25 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
 @click.argument("base_checkpoint", type=click.Path())
 def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
+    cfg = ExperimentConfig.load(config_path, seed)
+    _full, train, _val = cfg.dataset_splits()
+    loss_cfg = cfg.loss()
+    schedule = cfg.finetune_schedule()
+    loaded = _load_model(base_checkpoint)
+    loaded.model.bottleneck_dim()  # must expose a bottleneck layer
 
-    def body():
-        cfg = ExperimentConfig.load(config_path, seed)
-        _full, train, _val = cfg.dataset_splits()
-        loss_cfg = cfg.loss()
-        schedule = cfg.finetune_schedule()
-        loaded = _load_model(base_checkpoint)
-        loaded.model.bottleneck_dim()  # must expose a bottleneck layer
-
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rng = as_rng(cfg.seed)
-        model = loaded.model.copy()
-        model, rows = metric.finetune(model, train, loss_cfg, schedule, rng)
-        ckpt.save_checkpoint(model, out / CHECKPOINT_NAME, rng_state=_rng_state(rng),
-                             training_meta={"stage": f"triplet-{loss_cfg.mode}",
-                                            "steps": schedule.steps,
-                                            "loss_mode": f"triplet_{loss_cfg.mode}",
-                                            "seed": cfg.seed})
-        _write_csv(out / "train_log.csv", metric.FINETUNE_LOG_COLUMNS,
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rng = as_rng(cfg.seed)
+    model = loaded.model.copy()
+    model, rows = metric.finetune(model, train, loss_cfg, schedule, rng)
+    _save_training(out, model, rng, cfg,
+                   {"stage": f"triplet-{loss_cfg.mode}", "steps": schedule.steps,
+                    "loss_mode": f"triplet_{loss_cfg.mode}"}, metric.FINETUNE_LOG_COLUMNS,
                    [[r[c] for c in metric.FINETUNE_LOG_COLUMNS] for r in rows])
-        updates = sum(1 for r in rows if np.isfinite(r["loss"]))
-        click.echo(f"fine-tuned with {loss_cfg.mode} triplet loss: "
-                   f"{updates}/{schedule.steps} update steps")
-
-    _run(body)
+    updates = sum(1 for r in rows if np.isfinite(r["loss"]))
+    click.echo(f"fine-tuned with {loss_cfg.mode} triplet loss: "
+               f"{updates}/{schedule.steps} update steps")
 
 
 @main.command("evaluate")
@@ -253,52 +237,47 @@ def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
               help="Pairs CSV (id_a,id_b,is_match); overrides config eval.pairs.")
 def cmd_evaluate(config_path, seed, out_dir, checkpoint_path, pairs_path):
     """Score verification pairs; write ROC and k-fold accuracy reports."""
+    cfg = ExperimentConfig.load(config_path, seed)
+    full, _train, _val = cfg.dataset_splits()
+    k = cfg.eval_k()
+    source = cfg.eval_pairs_path(pairs_path)
+    loaded = _load_model(checkpoint_path)
+    pairs = evaluation.load_pairs_csv(source)
+    resolved = evaluation.resolve_pairs(pairs, full)
 
-    def body():
-        cfg = ExperimentConfig.load(config_path, seed)
-        full, _train, _val = cfg.dataset_splits()
-        k = cfg.eval_k()
-        source = cfg.eval_pairs_path(pairs_path)
-        loaded = _load_model(checkpoint_path)
-        pairs = evaluation.load_pairs_csv(source)
-        resolved = evaluation.resolve_pairs(pairs, full)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    scored = evaluation.score_pairs(loaded.model, resolved)
+    curve = evaluation.roc(scored)
+    report = evaluation.kfold_accuracy(scored, k)
+    pos = [p.score for p in scored if p.is_match]
+    neg = [p.score for p in scored if not p.is_match]
+    decid = metric.decidability(pos, neg)
 
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        scored = evaluation.score_pairs(loaded.model, resolved)
-        curve = evaluation.roc(scored)
-        report = evaluation.kfold_accuracy(scored, k)
-        pos = [p.score for p in scored if p.is_match]
-        neg = [p.score for p in scored if not p.is_match]
-        decid = metric.decidability(pos, neg)
-
-        _write_csv(out / "roc.csv", ["threshold", "far", "tar"],
-                   [(t, f, a) for t, (f, a) in zip(curve.thresholds, curve.points)])
-        doc = evaluation.kfold_report_dict(report, k=k, decid=decid,
-                                           num_pairs=len(scored))
-        evaluation.validate_kfold_report(doc)
-        _write_json(out / "kfold.json", doc)
-        click.echo(f"k-fold accuracy {report.mean:.4f} +- {report.std:.4f} "
-                   f"(k={k}); AUC {curve.auc:.4f}; decidability {decid:.4f}")
-
-    _run(body)
+    _write_csv(out / "roc.csv", ["threshold", "far", "tar"],
+               [(t, f, a) for t, (f, a) in zip(curve.thresholds, curve.points)])
+    doc = evaluation.kfold_report_dict(report, k=k, decid=decid,
+                                       num_pairs=len(scored))
+    evaluation.validate_kfold_report(doc)
+    _write_json(out / "kfold.json", doc)
+    click.echo(f"k-fold accuracy {report.mean:.4f} +- {report.std:.4f} "
+               f"(k={k}); AUC {curve.auc:.4f}; decidability {decid:.4f}")
 
 
 @main.command("report")
 @click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Directory holding artifacts from earlier stages.")
+@_exit_codes
 def cmd_report(out_dir):
     """Render a human-readable summary of the artifacts in --out."""
-
-    def body():
-        out = Path(out_dir)
-        if not out.is_dir():
-            raise ConfigError(f"{out} is not a directory")
-        lines = ["experiment artifacts", "=" * 40]
-
-        stats_path = out / "map_stats.json"
-        if stats_path.is_file():
-            doc = json.loads(stats_path.read_text())
+    out = Path(out_dir)
+    if not out.is_dir():
+        raise ConfigError(f"{out} is not a directory")
+    lines = ["experiment artifacts", "=" * 40]
+    try:
+        path = out / "map_stats.json"
+        if path.is_file():
+            doc = json.loads(path.read_text())
             lines += [
                 "occlusion map",
                 f"  occluder          {doc['occluder'][0]}x{doc['occluder'][1]}",
@@ -306,9 +285,9 @@ def cmd_report(out_dir):
                 f"  mean accuracy     {doc['mean_accuracy'] * 100:.2f}%",
                 f"  cell std          {doc['std']:.4f}",
             ]
-        kfold_path = out / "kfold.json"
-        if kfold_path.is_file():
-            doc = json.loads(kfold_path.read_text())
+        path = out / "kfold.json"
+        if path.is_file():
+            doc = json.loads(path.read_text())
             lines += [
                 "verification",
                 f"  pairs             {doc.get('num_pairs', '?')}",
@@ -317,18 +296,19 @@ def cmd_report(out_dir):
             ]
             if "decidability" in doc:
                 lines.append(f"  decidability      {doc['decidability']:.4f}")
-        log_path = out / "train_log.csv"
-        if log_path.is_file():
-            body_rows = log_path.read_text().strip().splitlines()
-            lines += ["training log", f"  steps logged      {max(len(body_rows) - 1, 0)}"]
-        if len(lines) == 2:
-            lines.append("(no known artifacts found)")
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        # not JSON, or a field the report reads is missing or mistyped
+        raise FormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
+    log_path = out / "train_log.csv"
+    if log_path.is_file():
+        body_rows = log_path.read_text().strip().splitlines()
+        lines += ["training log", f"  steps logged      {max(len(body_rows) - 1, 0)}"]
+    if len(lines) == 2:
+        lines.append("(no known artifacts found)")
 
-        text = "\n".join(lines) + "\n"
-        (out / "report.txt").write_text(text)
-        click.echo(text, nl=False)
-
-    _run(body)
+    text = "\n".join(lines) + "\n"
+    (out / "report.txt").write_text(text)
+    click.echo(text, nl=False)
 
 
 if __name__ == "__main__":

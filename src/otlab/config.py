@@ -30,6 +30,15 @@ def _float(section: dict, key: str, default, where: str = "") -> float:
     return as_number(section.get(key, default), where + key)
 
 
+def _input_file(value, name: str) -> Path:
+    """``value`` as the path of an existing file; ConfigError names ``name``."""
+    if not isinstance(value, (str, Path)):
+        raise ConfigError(f"{name} must be a file path, got {value!r}")
+    if not Path(value).is_file():
+        raise ConfigError(f"{name} {value} is not a file")
+    return Path(value)
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict
@@ -190,10 +199,17 @@ class ExperimentConfig:
             raise ConfigError("eval.k must be at least 2")
         return k
 
+    def map_path(self, override=None) -> Path:
+        """The map CSV of placement mode P: ``override`` (``--map``), else config "map"."""
+        source = override if override is not None else self.raw.get("map")
+        if source is None:
+            raise ConfigError('placement mode P needs --map (or config "map")')
+        return _input_file(source, "map")
+
     def eval_pairs_path(self, override=None) -> Path:
         if override is not None:
-            return Path(override)
+            return _input_file(override, "pairs")
         section = self._section("eval")
         if "pairs" not in section:
             raise ConfigError('config needs "eval.pairs" (or pass --pairs)')
-        return Path(section["pairs"])
+        return _input_file(section["pairs"], "eval.pairs")

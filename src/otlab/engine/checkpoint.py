@@ -18,6 +18,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,9 +102,9 @@ def read_checkpoint(path) -> Checkpoint:
         shape, off, length = _tensor_entry(path, name, entry)
         if off + length > len(blob):
             raise CorruptionError(f"{path}: tensor {name!r} extends past end of file")
-        if length != 8 * int(np.prod(shape)):
+        if length != 8 * math.prod(shape):     # Python ints: np.prod wraps at 2**63
             raise CorruptionError(f"{path}: tensor {name!r} has {length} bytes, expected "
-                                  f"{8 * int(np.prod(shape))} for shape {shape}")
+                                  f"{8 * math.prod(shape)} for shape {shape}")
         arr = np.frombuffer(blob[off:off + length], dtype="<f8").astype(np.float64)
         if not np.isfinite(arr).all():
             raise CorruptionError(f"{path}: tensor {name!r} holds a non-finite value")

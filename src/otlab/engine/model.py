@@ -6,7 +6,8 @@ parameter names and shapes and its input and output shapes. Construction
 checks that the layers compose and that every tensor has its planned
 shape. One walk over the plan (:func:`walk`) serves inference and
 recording: :func:`apply_layer` runs a layer's graph op when its input is a
-``Node`` and its ``*_value`` kernel otherwise.
+``Node`` and its ``*_value`` kernel otherwise. Inference walks any batch in
+``INFERENCE_ROWS``-row blocks (:func:`walk_blocks`).
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ class Dense:
 
 LayerSpec = Conv | Relu | MaxPool | Dense
 
-# Images per inference forward (embeddings, accuracy, map predictions); the
-# occlusion scan's dense head uses the same blocks to keep a full forward's bits.
+# Rows per block of every inference walk (``forward``, ``forward_features`` and
+# the occlusion scan's dense head): bounds inference memory, and keeps one set of
+# GEMM shapes, so a row's bits do not depend on how many rows a caller passes.
 INFERENCE_ROWS = 256
 
 
@@ -262,18 +264,29 @@ def walk(x, steps, params):
     return x
 
 
+def walk_blocks(block, rows: int, steps, params) -> np.ndarray:
+    """``walk`` over ``rows`` inputs in ``INFERENCE_ROWS``-row blocks, outputs stacked.
+
+    ``block(rows)`` builds the inputs of a slice of rows and goes straight into
+    ``walk``, so no name holds a block while it runs (an empty batch walks once).
+    """
+    return np.concatenate([walk(block(slice(s, s + INFERENCE_ROWS)), steps, params)
+                           for s in range(0, max(rows, 1), INFERENCE_ROWS)])
+
+
 def forward(model: Model, batch) -> np.ndarray:
     """Class scores for a batch; a pure function of (parameters, input)."""
     batch = _check_batch(model, batch)
-    return check_finite(walk(batch, model.plan, model.params), "logits")
+    logits = walk_blocks(batch.__getitem__, len(batch), model.plan, model.params)
+    return check_finite(logits, "logits")
 
 
 def forward_features(model: Model, batch) -> np.ndarray:
     """Activations feeding the classification layer (the bottleneck features)."""
     model.bottleneck_dim()  # validates that a bottleneck exists
     batch = _check_batch(model, batch)
-    feats = walk(batch, model.plan[:-1], model.params)
-    return check_finite(feats.reshape(batch.shape[0], -1), "features")
+    feats = walk_blocks(batch.__getitem__, len(batch), model.plan[:-1], model.params)
+    return check_finite(feats.reshape(len(batch), -1), "features")
 
 
 def predict(model: Model, batch) -> np.ndarray:

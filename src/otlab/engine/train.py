@@ -10,7 +10,7 @@ from ..data import Dataset, batches
 from ..errors import DivergenceError
 from ..validation import as_rng
 from . import ops
-from .model import INFERENCE_ROWS, Model, forward, trace
+from .model import Model, forward, trace
 from .optim import Sgd, backward
 
 
@@ -62,11 +62,6 @@ def train_classifier(model: Model, dataset: Dataset, schedule: Schedule, rng,
 
 def train_accuracy(model: Model, dataset: Dataset) -> float:
     """Fraction of dataset images the model classifies correctly."""
-    correct = 0
-    images = dataset.image_array()
     labels = dataset.label_array()
-    for start in range(0, len(labels), INFERENCE_ROWS):
-        x = images[start:start + INFERENCE_ROWS, :, :, np.newaxis]
-        pred = np.argmax(forward(model, x), axis=1)
-        correct += int((pred == labels[start:start + INFERENCE_ROWS]).sum())
-    return correct / max(len(labels), 1)
+    pred = np.argmax(forward(model, dataset.image_array()[:, :, :, np.newaxis]), axis=1)
+    return int((pred == labels).sum()) / max(len(labels), 1)

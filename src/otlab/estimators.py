@@ -48,10 +48,18 @@ class ParamsMixin:
         return f"{type(self).__name__}({args})"
 
 
-def _as_dataset(X: np.ndarray, y: np.ndarray, class_count: int) -> Dataset:
-    images = [LabeledImage(pixels=X[i, :, :, 0], label=int(y[i]), id=f"i{i:05d}")
-              for i in range(len(y))]
-    return Dataset(images=images, class_count=class_count)
+def _images(X: np.ndarray, y) -> list[LabeledImage]:
+    return [LabeledImage(pixels=X[i, :, :, 0], label=int(label), id=f"i{i:05d}")
+            for i, label in enumerate(y)]
+
+
+def _encode(classes: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of labels ``y`` in the sorted ``classes``; other labels raise ValueError."""
+    unseen = np.setdiff1d(y, classes)
+    if unseen.size:
+        raise ValueError(f"labels {unseen.tolist()} are not among the model's classes "
+                         f"{classes.tolist()}")
+    return np.searchsorted(classes, y)
 
 
 def _resolve_model(source) -> Model:
@@ -96,19 +104,11 @@ class ConvNetClassifier(ParamsMixin):
         self.occluded_fraction = occluded_fraction
         self.seed = seed
 
-    def _occluder_spec(self) -> occlusion.OccluderSpec:
-        if isinstance(self.occluder, occlusion.OccluderSpec):
-            return self.occluder
-        if isinstance(self.occluder, dict):
-            return occlusion.OccluderSpec.from_config(self.occluder)
-        raise ValueError("augmentation requires an occluder spec")
-
     def fit(self, X, y, base_model: Model | None = None):
         X = check_image_batch(X)
         y = check_labels(y)
         self.classes_ = np.unique(y)
-        encoded = np.searchsorted(self.classes_, y)
-        dataset = _as_dataset(X, encoded, len(self.classes_))
+        dataset = Dataset(_images(X, _encode(self.classes_, y)), len(self.classes_))
 
         rng = as_rng(self.seed)
         if base_model is not None:
@@ -127,13 +127,8 @@ class ConvNetClassifier(ParamsMixin):
 
         augment_fn = None
         if self.augment is not None:
-            spec = self._occluder_spec()
-            placement = self.augment
-            fraction = self.occluded_fraction
-
-            def augment_fn(images, gen):
-                return occlusion.occlude_fraction(images, fraction, placement, spec, gen)
-
+            augment_fn = occlusion.augmenter(self.occluded_fraction, self.augment,
+                                             occlusion.OccluderSpec.from_config(self.occluder))
         schedule = Schedule(steps=self.steps, lr=self.lr, momentum=self.momentum,
                             batch_size=self.batch_size)
         self.history_ = train_classifier(self.model_, dataset, schedule, rng,
@@ -190,7 +185,7 @@ class TripletEmbedder(ParamsMixin):
         X = check_image_batch(X)
         y = check_labels(y)
         classes = np.unique(y)
-        dataset = _as_dataset(X, np.searchsorted(classes, y), len(classes))
+        dataset = Dataset(_images(X, _encode(classes, y)), len(classes))
 
         model = _resolve_model(self.base_model)
         config = metric.LossConfig(mode=self.mode, alpha=self.alpha, beta=self.beta,
@@ -207,9 +202,7 @@ class TripletEmbedder(ParamsMixin):
         if not hasattr(self, "model_"):
             raise StateError("TripletEmbedder is not fitted")
         X = check_image_batch(X)
-        images = [LabeledImage(pixels=X[i, :, :, 0], label=0, id=f"t{i:05d}")
-                  for i in range(len(X))]
-        return np.stack([e.vector for e in metric.embed(self.model_, images)])
+        return np.stack([e.vector for e in metric.embed(self.model_, _images(X, [0] * len(X)))])
 
     def fit_transform(self, X, y) -> np.ndarray:
         return self.fit(X, y).transform(X)
@@ -236,20 +229,14 @@ class OcclusionMapper(ParamsMixin):
         if self.model is None:
             raise ValueError("OcclusionMapper needs a model to probe")
         X = check_image_batch(X)
-        y = check_labels(y)
-        model = self.model.model_ if isinstance(self.model, ConvNetClassifier) \
-            else self.model
-        if isinstance(self.occluder, occlusion.OccluderSpec):
-            spec = self.occluder
-        elif isinstance(self.occluder, dict):
-            spec = occlusion.OccluderSpec.from_config(self.occluder)
-        else:
-            sizes = occlusion.default_occluders(X.shape[1])
-            spec = sizes["small"]
-        images = [LabeledImage(pixels=X[i, :, :, 0], label=int(y[i]), id=f"m{i:05d}")
-                  for i in range(len(y))]
+        model = _resolve_model(self.model)
+        # a classifier's labels map to its class indices; a bare model's are indices
+        classes = getattr(self.model, "classes_", np.arange(model.num_classes()))
+        labels = _encode(classes, check_labels(y))
+        spec = occlusion.default_occluders(X.shape[1])["small"] if self.occluder is None \
+            else occlusion.OccluderSpec.from_config(self.occluder)
         self.map_, info = occlusion.dataset_occlusion_map(
-            model, images, spec, as_rng(self.seed), stride=self.stride,
+            model, _images(X, labels), spec, as_rng(self.seed), stride=self.stride,
             limit=self.max_images)
         self.placement_ = occlusion.placement_distribution(self.map_, self.temperature)
         self.excluded_ = info["excluded"]

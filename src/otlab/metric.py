@@ -27,7 +27,7 @@ import numpy as np
 from .data import Dataset, LabeledImage
 from .engine import autodiff
 from .engine.autodiff import Node, gradients
-from .engine.model import INFERENCE_ROWS, Model, forward_features, trace
+from .engine.model import Model, forward_features, trace
 from .engine.ops import l2_normalize
 from .engine.optim import Sgd
 from .errors import DivergenceError, StateError
@@ -121,19 +121,17 @@ class TripletBatch:
 def embed(model: Model, images) -> list[Embedding]:
     """Unit-norm bottleneck embeddings for a Dataset or list of images."""
     items: list[LabeledImage] = list(images.images) if isinstance(images, Dataset) else list(images)
-    out: list[Embedding] = []
-    for start in range(0, len(items), INFERENCE_ROWS):
-        block = items[start:start + INFERENCE_ROWS]
-        feats = forward_features(model, np.stack([im.pixels for im in block])[:, :, :, np.newaxis])
-        norms = np.sqrt((feats * feats).sum(axis=1))
-        if np.any(norms == 0.0):
-            bad = [block[i].id for i in np.nonzero(norms == 0.0)[0]]
-            raise ValueError(f"zero bottleneck feature vector for image(s) {bad}; "
-                             "cannot normalize")
-        unit = feats / norms[:, None]
-        out += [Embedding(vector=unit[i], source_id=im.id, label=im.label)
-                for i, im in enumerate(block)]
-    return out
+    if not items:
+        return []
+    feats = forward_features(model, np.stack([im.pixels for im in items])[:, :, :, np.newaxis])
+    norms = np.sqrt((feats * feats).sum(axis=1))
+    if np.any(norms == 0.0):
+        bad = [items[i].id for i in np.nonzero(norms == 0.0)[0]]
+        raise ValueError(f"zero bottleneck feature vector for image(s) {bad}; "
+                         "cannot normalize")
+    unit = feats / norms[:, None]
+    return [Embedding(vector=unit[i], source_id=im.id, label=im.label)
+            for i, im in enumerate(items)]
 
 
 def distance(a, b) -> float:

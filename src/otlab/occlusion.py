@@ -23,8 +23,8 @@ s consecutive inputs can reach (inputs in the cropped tail reach none).
 Each layer recomputes the window [lo, lo + s), clipped to its output and
 moved inward at the far border, from its clean input with the previous
 window spliced in, using the same kernels as a full forward; the last
-window is spliced into the clean features and the dense head runs on the
-same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
+window is spliced into the clean features and the dense head walks them in
+the same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
 has the same inputs and kernel as in the full forward, and the logits are
 bit-identical to it wherever the BLAS rounds a GEMM row independently of
 the call's other rows (true for the default net; where it is not, the full
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import LabeledImage, save_pgm
-from .engine.model import INFERENCE_ROWS, Conv, Model, Relu, apply_layer, forward, walk
+from .engine.model import Conv, Model, Relu, apply_layer, forward, walk_blocks
 from .errors import FormatError, ProtocolError
 from .validation import as_number, as_rng, check_finite
 
@@ -77,7 +77,12 @@ class OccluderSpec:
             raise ValueError("noise_level must be nonnegative")
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "OccluderSpec":
+    def from_config(cls, cfg) -> "OccluderSpec":
+        """A spec from its JSON-style dict; a spec is returned unchanged."""
+        if isinstance(cfg, cls):
+            return cfg
+        if not isinstance(cfg, dict):
+            raise ValueError(f"an occluder must be a spec or an object, got {cfg!r}")
         known = {"height", "width", "intensity_range", "noise_model", "noise_level"}
         unknown = set(cfg) - known
         if unknown:
@@ -209,12 +214,11 @@ def _splice(base: np.ndarray, start: np.ndarray, size, values: np.ndarray,
     return crop
 
 
-def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: int,
-                 chunk: int = 256) -> np.ndarray:
+def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: int) -> np.ndarray:
     """Logits of the occluded image at every scan position, in row-major order.
 
-    Computed incrementally (see the module docstring); ``chunk`` positions
-    share each call of a spatial layer's kernel.
+    Computed incrementally (see the module docstring); the positions of one
+    inference block share each call of a spatial layer's kernel.
     """
     h, w = pixels.shape
     dims = np.array([h, w])
@@ -264,20 +268,16 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
                        values, vstart)
         return flat.reshape(len(centers), -1)
 
-    def head_input(block: np.ndarray) -> np.ndarray:
-        return np.concatenate([features(block[s:s + chunk]) for s in range(0, len(block), chunk)])
-
-    # no name holds a block, so the walk frees it at its first layer
-    logits = [walk(head_input(positions[s:s + INFERENCE_ROWS]), model.plan[split:], model.params)
-              for s in range(0, len(positions), INFERENCE_ROWS)]
-    return check_finite(np.concatenate(logits), "logits")
+    logits = walk_blocks(lambda rows: features(positions[rows]), len(positions),
+                         model.plan[split:], model.params)
+    return check_finite(logits, "logits")
 
 
 def _scan_grid(model: Model, pixels: np.ndarray, label: int, patch: np.ndarray,
-               stride: int, chunk: int = 256) -> np.ndarray:
+               stride: int) -> np.ndarray:
     """Error indicator for every scan location; stride blocks share a value."""
     h, w = pixels.shape
-    predictions = np.argmax(_scan_logits(model, pixels, patch, stride, chunk), axis=1)
+    predictions = np.argmax(_scan_logits(model, pixels, patch, stride), axis=1)
     flips = (predictions != label).astype(np.float64)
     rows, cols = -(-h // stride), -(-w // stride)
     blocks = np.repeat(np.repeat(flips.reshape(rows, cols), stride, 0), stride, 1)
@@ -337,8 +337,7 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
         raise ProtocolError("no images supplied for the occlusion map")
     rng = as_rng(rng)
     stack = np.stack([im.pixels for im in images])[:, :, :, np.newaxis]
-    predictions = np.concatenate([np.argmax(forward(model, stack[s:s + INFERENCE_ROWS]), axis=1)
-                                  for s in range(0, len(images), INFERENCE_ROWS)])
+    predictions = np.argmax(forward(model, stack), axis=1)
 
     selected = [im for im, p in zip(images, predictions) if p == im.label]
     excluded = len(images) - len(selected)
@@ -426,6 +425,14 @@ def occlude_fraction(images: np.ndarray, fraction: float, placement,
     out = images.copy()
     out[:k] = augment_batch(images[:k], placement, spec, rng)
     return out
+
+
+def augmenter(fraction: float, placement, spec: OccluderSpec):
+    """The ``augment`` callable of ``train_classifier``: :func:`occlude_fraction`
+    of each batch with the given placement and occluder."""
+    def augment(images, rng):
+        return occlude_fraction(images, fraction, placement, spec, rng)
+    return augment
 
 
 def augment_batch(images: np.ndarray, placement, spec: OccluderSpec, rng) -> np.ndarray:

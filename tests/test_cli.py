@@ -341,3 +341,35 @@ def test_report_on_empty_directory(tmp_path, runner):
     out.mkdir()
     result = run_ok(runner, ["report", "--out", str(out)])
     assert "no known artifacts" in result.output
+
+
+@pytest.mark.parametrize("command, overrides, pairs_dir, message", [
+    ("train-augmented", {"map": 5}, False, "map must be a file path, got 5"),
+    ("evaluate", {"eval": {"k": 4, "pairs": 7}}, False, "eval.pairs must be a file path, got 7"),
+    ("evaluate", {}, True, "is not a file"),
+])
+def test_bad_input_paths_exit_2(tmp_path, runner, command, overrides, pairs_dir, message):
+    cfg = write_config(tmp_path, schedule={"steps": 0}, **overrides)
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "s2"),
+            str(stage1 / "checkpoint.otl")]
+    if pairs_dir:
+        args += ["--pairs", str(tmp_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output
+    assert not (tmp_path / "s2").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "JSONDecodeError"),
+    ('{"mean_accuracy": 0.5, "std": 0.1, "sample_count": 3, "excluded": 0}',
+     "KeyError: 'occluder'"),
+])
+def test_report_on_malformed_map_stats_exits_2(tmp_path, runner, text, message):
+    (tmp_path / "map_stats.json").write_text(text)
+    result = runner.invoke(main, ["report", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"{tmp_path / 'map_stats.json'}: malformed artifact" in result.output
+    assert message in result.output

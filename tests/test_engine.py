@@ -23,7 +23,9 @@ from otlab.engine import (
     train_classifier,
 )
 from otlab.engine import autodiff as ad
+from otlab.engine import ops
 from otlab.engine.model import (
+    INFERENCE_ROWS,
     Conv,
     Dense,
     Model,
@@ -292,6 +294,24 @@ def test_features_stop_before_classifier(rng):
     np.testing.assert_allclose(manual, forward(model, x), rtol=1e-12)
 
 
+def test_inference_walks_blocks_of_inference_rows(rng, monkeypatch):
+    model = init_model(small_config(), rng)
+    x = rng.random((600, 6, 6, 1))
+    rows = []
+    conv = ops.conv2d_value
+
+    def recording(batch, *args):
+        rows.append(len(batch))
+        return conv(batch, *args)
+
+    monkeypatch.setattr(ops, "conv2d_value", recording)
+    for fn in (forward, forward_features):
+        blocks = [fn(model, x[s:s + INFERENCE_ROWS]) for s in range(0, len(x), INFERENCE_ROWS)]
+        rows.clear()
+        np.testing.assert_array_equal(fn(model, x), np.concatenate(blocks))
+        assert rows == [INFERENCE_ROWS, INFERENCE_ROWS, 600 - 2 * INFERENCE_ROWS]
+
+
 # --------------------------------------------------------------------- SGD
 
 def test_zero_learning_rate_keeps_parameters(rng):
@@ -439,6 +459,9 @@ def _rewrite_header(path, edit):
     (lambda h: h["tensors"]["conv1.bias"].__setitem__(1, "0"), "'conv1.bias' offset"),
     (lambda h: h["tensors"]["conv1.bias"].__setitem__(0, [1.5]), "'conv1.bias' shape"),
     (lambda h: h["tensors"]["conv1.bias"].__setitem__(2, 3), "'conv1.bias' has 3 bytes"),
+    # 8 * (2**32)**2 wraps to 0 in int64, which would match the 0-byte length
+    (lambda h: h["tensors"].update({"conv1.bias": [[2**32, 2**32], 0, 0]}),
+     "'conv1.bias' has 0 bytes, expected 147573952589676412928"),
     (lambda h: h["model_config"]["layers"][0].update({"kernel": "ab"}), "layer 0: conv kernel"),
     (lambda h: h["model_config"]["layers"][0].update({"filters": True}), "layer 0: conv filters"),
 ])

@@ -94,3 +94,22 @@ def test_occlusion_mapper_recovers_cue_region():
     assert abs(mapper.placement_.probs.sum() - 1.0) < 1e-12
     from otlab.occlusion import top_decile_centroid
     assert point_in_rect(top_decile_centroid(mapper.map_), spec.resolved_cue_region())
+
+
+def test_occlusion_mapper_encodes_labels_through_the_classifier_classes():
+    X, y, _ = _arrays()
+    maps = []
+    for labels in (y, y * 5 + 2):       # {0, 1, 2} and {2, 7, 12} train the same net
+        clf = ConvNetClassifier(steps=120, lr=0.05, batch_size=12, seed=0).fit(X, labels)
+        mapper = OcclusionMapper(model=clf, occluder={"height": 3, "width": 3},
+                                 max_images=12, seed=2).fit(X, labels)
+        maps.append(mapper.map_.grid)
+    np.testing.assert_array_equal(maps[0], maps[1])
+    with pytest.raises(ValueError, match=r"labels \[3\] are not among"):
+        OcclusionMapper(model=clf).fit(X, np.where(y == 0, 3, labels))
+
+
+def test_occlusion_mapper_rejects_an_unfitted_classifier():
+    X, y, _ = _arrays()
+    with pytest.raises(StateError, match="not fitted"):
+        OcclusionMapper(model=ConvNetClassifier()).fit(X, y)

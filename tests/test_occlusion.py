@@ -235,10 +235,9 @@ def _random_net(h, w, body, hidden, classes, seed):
 @given(h=st.integers(2, 11), w=st.integers(2, 11), body=st.lists(_spatial_layers, max_size=4),
        hidden=st.lists(st.tuples(st.integers(1, 6), st.booleans()), max_size=2),
        classes=st.integers(2, 4), ph=st.integers(1, 13), pw=st.integers(1, 13),
-       stride=st.integers(1, 3), chunk=st.sampled_from([1, 7, 256]),
-       seed=st.integers(0, 2**16))
+       stride=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_incremental_scan_matches_full_forward(h, w, body, hidden, classes, ph, pw,
-                                               stride, chunk, seed):
+                                               stride, seed):
     model = _random_net(h, w, body, hidden, classes, seed)
     assume(model is not None)
     rng = np.random.default_rng(seed + 2)
@@ -247,10 +246,10 @@ def test_incremental_scan_matches_full_forward(h, w, body, hidden, classes, ph, 
     def full(batch):
         return forward(model, batch)
 
-    logits = _scan_logits(model, pixels, patch, stride, chunk)
+    logits = _scan_logits(model, pixels, patch, stride)
     expected = scan_logits_full(full, pixels, patch, stride)
     label = int(np.argmax(expected[0]))
-    np.testing.assert_array_equal(_scan_grid(model, pixels, label, patch, stride, chunk),
+    np.testing.assert_array_equal(_scan_grid(model, pixels, label, patch, stride),
                                   scan_grid_full(full, pixels, label, patch, stride))
     # Bit equality is owed wherever the full forward itself gives one answer:
     # for some GEMM shapes the BLAS rounds a row differently depending on how
@@ -269,9 +268,7 @@ def test_incremental_scan_is_bit_identical_on_default_net(patch_shape):
     pixels, patch = rng.random((16, 16)), rng.random(patch_shape)
     for stride in (1, 3):
         expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, stride)
-        for chunk in (1, 7, 256):
-            np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride, chunk),
-                                          expected)
+        np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride), expected)
 
 
 def test_scan_recomputes_only_windows(monkeypatch):
