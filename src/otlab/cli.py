@@ -26,6 +26,7 @@ import click
 import numpy as np
 
 from . import evaluation, metric, occlusion
+from .atomic import atomic_write
 from .config import ExperimentConfig
 from .engine import checkpoint as ckpt
 from .engine.model import init_model
@@ -42,7 +43,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(v) if isinstance(v, (int, str)) else _fmt(v)
@@ -50,7 +51,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -307,7 +308,8 @@ def cmd_report(out_dir):
         lines.append("(no known artifacts found)")
 
     text = "\n".join(lines) + "\n"
-    (out / "report.txt").write_text(text)
+    with atomic_write(out / "report.txt") as fh:
+        fh.write(text)
     click.echo(text, nl=False)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import FormatError, StateError
 from .validation import as_rng, check_rect, check_single_image
 
@@ -100,7 +101,7 @@ def save_pgm(pixels, path) -> None:
     pixels = check_single_image(pixels)
     levels = np.rint(np.clip(pixels, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = levels.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.tobytes())
 

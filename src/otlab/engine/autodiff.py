@@ -5,7 +5,11 @@ vector-Jacobian closures back to its parents. Building a graph is explicit:
 wrap leaf arrays in ``Node`` and combine them with the ops in this module
 (or the layer ops in :mod:`otlab.engine.ops`). :func:`gradients` then walks
 the graph once, in reverse topological order, and returns the gradient of a
-scalar loss with respect to any requested leaves.
+scalar loss with respect to any requested leaves. It first marks the nodes
+from which a requested leaf can be reached and runs only the VJPs into those
+(the ``requires_grad`` pruning of reverse-mode systems), so no gradient is
+computed for an input image; every requested gradient gets the same
+contributions in the same order as an unpruned walk.
 
 The graph is rebuilt on every forward pass; nothing is retained between
 steps, so inference code can use the plain array kernels and skip the tape
@@ -209,14 +213,23 @@ def gradients(loss: Node, leaves: Iterable[Node]) -> list[np.ndarray]:
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
 
+    leaves = list(leaves)
+    order = _topo_order(loss)
+    live = {id(leaf) for leaf in leaves}     # nodes a requested leaf can be reached from
+    for node in order:                       # parents come before their children
+        if any(id(parent) in live for parent, _ in node.parents):
+            live.add(id(node))
+
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         for parent, vjp in node.parents:
-            contribution = vjp(g)
             pid = id(parent)
+            if pid not in live:
+                continue
+            contribution = vjp(g)
             if pid in grads:
                 grads[pid] = grads[pid] + contribution
             else:

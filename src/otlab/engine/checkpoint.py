@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..atomic import atomic_write
 from ..errors import ConfigError, CorruptionError, FormatError
 from .model import Model, layer_from_config
 
@@ -62,7 +63,7 @@ def save_checkpoint(model: Model, path, *, rng_state: dict | None = None,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(4, "little"))
         fh.write(header_bytes)

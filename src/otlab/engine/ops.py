@@ -1,14 +1,14 @@
 """Layer kernels (plain float64 arrays) and their recorded-graph wrappers.
 
 Every kernel has a ``*_value`` function for inference and a graph op
-returning a :class:`~otlab.engine.autodiff.Node` for training. Conv and
-dense compute both from one private forward each, so inference and
-training are bit-identical by construction. ``maxpool`` and
-:func:`~otlab.engine.autodiff.relu` keep gather and mask forms for their
-VJPs; they select exactly the values ``maxpool_value`` and ``np.maximum``
-give (the mask writes -0.0 for negative inputs, which compares equal).
-Graph ops never call the public ``*_value`` names, so a probe on either
-entry point counts each kernel call once.
+returning a :class:`~otlab.engine.autodiff.Node` for training. Conv,
+max-pool and dense compute both from one private forward each, so inference
+and training are bit-identical by construction. The pool forward folds
+``np.maximum`` over strided window cells; its VJP picks the first cell equal
+to the maximum, as ``argmax`` would. :func:`~otlab.engine.autodiff.relu`
+keeps a mask form for its VJP; it writes -0.0 where ``np.maximum`` gives
+0.0, which compares equal. Graph ops never call the public ``*_value``
+names, so a probe on either entry point counts each kernel call once.
 
 Layout conventions: image batches are NHWC, conv weights are
 (kh, kw, c_in, c_out), dense weights are (d_in, d_out).
@@ -38,7 +38,8 @@ def _conv2d_forward(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> n
     """Convolution output from the (N, Ho, Wo, kh, kw, C) patches of ``_im2col``."""
     n, ho, wo = cols.shape[:3]
     out = cols.reshape(n * ho * wo, -1) @ weight.reshape(-1, weight.shape[3])
-    return out.reshape(n, ho, wo, -1) + bias
+    out += bias
+    return out.reshape(n, ho, wo, -1)
 
 
 def conv2d_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int = 0) -> np.ndarray:
@@ -78,33 +79,40 @@ def conv2d(x, weight, bias, padding: int = 0) -> Node:
 
 # ---------------------------------------------------------------- max pool
 
-def _pool_windows(x: np.ndarray, w: int):
+def _pool_tiles(x: np.ndarray, w: int) -> np.ndarray:
+    """(N, H, W, C) -> (N, H//w, w, W//w, w, C) view of the cropped windows."""
     n, h, wd, c = x.shape
-    hp, wp = h // w, wd // w
-    cropped = x[:, :hp * w, :wp * w, :]
-    tiles = cropped.reshape(n, hp, w, wp, w, c).transpose(0, 1, 3, 2, 4, 5)
-    return tiles.reshape(n, hp, wp, w * w, c), (hp, wp)
+    return x[:, :h // w * w, :wd // w * w, :].reshape(n, h // w, w, wd // w, w, c)
+
+
+def _maxpool_forward(tiles: np.ndarray) -> np.ndarray:
+    """Window maxima: ``np.maximum`` folded over the cells of ``_pool_tiles``."""
+    w = tiles.shape[2]
+    out = tiles[:, :, 0, :, 0, :].copy()
+    for k in range(1, w * w):
+        np.maximum(out, tiles[:, :, k // w, :, k % w, :], out=out)
+    return out
 
 
 def maxpool_value(x: np.ndarray, window: int) -> np.ndarray:
-    tiles, _ = _pool_windows(x, window)
-    return tiles.max(axis=3)
+    return _maxpool_forward(_pool_tiles(x, window))
 
 
 def maxpool(x, window: int) -> Node:
-    x = as_node(x)
-    tiles, (hp, wp) = _pool_windows(x.value, window)
-    arg = tiles.argmax(axis=3)          # first max wins; deterministic tie-break
-    out = np.take_along_axis(tiles, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    n, h, wd, c = x.value.shape
-    w = window
+    x, w = as_node(x), window
+    tiles = _pool_tiles(x.value, w)
+    out = _maxpool_forward(tiles)
 
     def vjp(g):
-        dtiles = np.zeros((n, hp, wp, w * w, c))
-        np.put_along_axis(dtiles, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
-        dcrop = dtiles.reshape(n, hp, wp, w, w, c).transpose(0, 1, 3, 2, 4, 5)
+        # g goes to the first cell, in row-major order, equal to the maximum
         dx = np.zeros_like(x.value)
-        dx[:, :hp * w, :wp * w, :] = dcrop.reshape(n, hp * w, wp * w, c)
+        dtiles = _pool_tiles(dx, w)
+        free = np.ones(out.shape, dtype=bool)
+        for i, j in np.ndindex(w, w):
+            hit = tiles[:, :, i, :, j, :] == out
+            hit &= free
+            free ^= hit
+            dtiles[:, :, i, :, j, :] = np.where(hit, g, 0.0)
         return dx
 
     return Node(out, [(x, vjp)])

@@ -27,7 +27,10 @@ def backward(trace: Trace, loss_node: Node) -> dict[str, np.ndarray]:
 
 def sgd_step(params: dict[str, np.ndarray], velocities: dict[str, np.ndarray],
              grads: dict[str, np.ndarray], lr: float, momentum: float) -> None:
-    """One in-place momentum-SGD update; raises KeyError on a missing gradient."""
+    """One in-place momentum-SGD update of ``params`` and ``velocities``.
+
+    Raises KeyError on a missing gradient.
+    """
     for name in params:
         g = grads[name]
         if g.shape != params[name].shape:
@@ -35,9 +38,9 @@ def sgd_step(params: dict[str, np.ndarray], velocities: dict[str, np.ndarray],
                              f"expected {params[name].shape}")
         v = velocities.get(name)
         if v is None:
-            v = np.zeros_like(params[name])
-        v = momentum * v - lr * g
-        velocities[name] = v
+            v = velocities[name] = np.zeros_like(params[name])
+        v *= momentum
+        v -= lr * g
         params[name] += v
 
 

@@ -112,6 +112,9 @@ class ConvNetClassifier(ParamsMixin):
 
         rng = as_rng(self.seed)
         if base_model is not None:
+            if base_model.num_classes() != len(self.classes_):
+                raise ValueError(f"base_model has {base_model.num_classes()} outputs, "
+                                 f"but y has {len(self.classes_)} classes")
             self.model_ = base_model.copy()
         else:
             cfg = self.architecture

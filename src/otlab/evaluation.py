@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .data import Dataset, LabeledImage
 from .engine.model import Model
 from .errors import FormatError, ProtocolError
@@ -182,7 +183,7 @@ def make_verification_pairs(dataset: Dataset, n_match: int, n_nonmatch: int,
 
 
 def save_pairs_csv(pairs: list[tuple[str, str, bool]], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_a", "id_b", "is_match"])
         for id_a, id_b, is_match in pairs:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .atomic import atomic_write
 from .data import LabeledImage, save_pgm
 from .engine.model import Conv, Model, Relu, apply_layer, forward, walk_blocks
 from .errors import FormatError, ProtocolError
@@ -469,7 +470,8 @@ def augment_batch(images: np.ndarray, placement, spec: OccluderSpec, rng) -> np.
 
 def save_map_csv(occ_map: OcclusionMap, path) -> None:
     """H rows of W comma-separated cells, 6 decimal places."""
-    np.savetxt(path, occ_map.grid, fmt="%.6f", delimiter=",")
+    with atomic_write(path) as fh:
+        np.savetxt(fh, occ_map.grid, fmt="%.6f", delimiter=",")
 
 
 def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),

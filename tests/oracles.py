@@ -47,6 +47,59 @@ def maxpool_loops(x, window):
     return out
 
 
+def maxpool_gather(x, window):
+    """Max-pool as a gather: (output, vjp). The forward takes the first
+    argmax of each window; the vjp scatters into zeros at that cell."""
+    n, h, wd, c = x.shape
+    w = window
+    hp, wp = h // w, wd // w
+    tiles = x[:, :hp * w, :wp * w, :].reshape(n, hp, w, wp, w, c)
+    tiles = tiles.transpose(0, 1, 3, 2, 4, 5).reshape(n, hp, wp, w * w, c)
+    arg = tiles.argmax(axis=3)
+    out = np.take_along_axis(tiles, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+
+    def vjp(g):
+        dtiles = np.zeros((n, hp, wp, w * w, c))
+        np.put_along_axis(dtiles, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+        dcrop = dtiles.reshape(n, hp, wp, w, w, c).transpose(0, 1, 3, 2, 4, 5)
+        dx = np.zeros_like(x)
+        dx[:, :hp * w, :wp * w, :] = dcrop.reshape(n, hp * w, wp * w, c)
+        return dx
+
+    return out, vjp
+
+
+def gradients_unpruned(loss, leaves):
+    """Reverse walk over a recorded graph (anything with ``.value`` and
+    ``.parents`` of (parent, vjp) pairs) that runs every parent's vjp,
+    whether or not a requested leaf lies behind it."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node.parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    grads = {id(loss): np.ones_like(loss.value)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        for parent, vjp in node.parents:
+            contribution = vjp(g)
+            pid = id(parent)
+            grads[pid] = grads[pid] + contribution if pid in grads else contribution
+        if not node.parents:
+            grads[id(node)] = g
+    return [grads.get(id(leaf), np.zeros_like(leaf.value)) for leaf in leaves]
+
+
 def softmax_ce_loops(logits, labels):
     """Scalar-at-a-time mean cross-entropy and probabilities."""
     n, k = logits.shape

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from otlab.cli import main
+from otlab.atomic import atomic_write
+from otlab.cli import _write_csv, main
 from otlab.config import ExperimentConfig
 from otlab.data import save_pgm
 from otlab.engine import load_checkpoint, read_checkpoint, save_checkpoint
@@ -373,3 +374,24 @@ def test_report_on_malformed_map_stats_exits_2(tmp_path, runner, text, message):
     assert result.exit_code == 2
     assert f"{tmp_path / 'map_stats.json'}: malformed artifact" in result.output
     assert message in result.output
+
+
+def test_a_writer_that_fails_midway_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "train_log.csv"
+    _write_csv(path, ["step", "loss"], [(1, 0.5)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (1, 0.25)
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _write_csv(path, ["step", "loss"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with atomic_write(tmp_path / "new.json") as fh:
+            fh.write("{")
+            raise RuntimeError("interrupted")
+    assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]

@@ -1,12 +1,13 @@
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from otlab.data import Dataset, LabeledImage
+from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import (
     Schedule,
     backward,
@@ -35,7 +36,15 @@ from otlab.engine.model import (
 )
 from otlab.errors import ConfigError, CorruptionError, DivergenceError, FormatError, StateError
 
-from oracles import conv2d_loops, finite_difference, maxpool_loops, rel_error, softmax_ce_loops
+from oracles import (
+    conv2d_loops,
+    finite_difference,
+    gradients_unpruned,
+    maxpool_gather,
+    maxpool_loops,
+    rel_error,
+    softmax_ce_loops,
+)
 
 
 def small_config(classes=3):
@@ -158,6 +167,23 @@ def test_default_init_draws_are_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_INIT_SHA256
 
 
+# parameters of the seed-0 default net after 20 training steps: any change to a
+# forward, gradient or update bit changes every trained checkpoint and fails this
+DEFAULT_TRAIN20_SHA256 = "0790896e3fc1f2660b4ef5aa733f4cced17766fc02ea08cf35f6d361152c85e7"
+
+
+def test_default_training_bits_are_pinned():
+    dataset = generate_synthetic(SyntheticSpec(class_count=10, samples_per_class=8, seed=0))
+    model = init_model(default_architecture(32, 10), 0)
+    rows = train_classifier(model, dataset, Schedule(steps=20, lr=0.02), 0)
+    assert len(rows) == 20
+    digest = hashlib.sha256()
+    for name, value in model.params.items():
+        digest.update(name.encode())
+        digest.update(value.tobytes())
+    assert digest.hexdigest() == DEFAULT_TRAIN20_SHA256
+
+
 _SPATIAL_LAYER = st.one_of(
     st.builds(lambda kh, kw, filters, padding: {"type": "conv", "kernel": [kh, kw],
                                                 "filters": filters, "padding": padding},
@@ -167,14 +193,8 @@ _SPATIAL_LAYER = st.one_of(
 )
 
 
-@settings(max_examples=60)
-@given(height=st.integers(2, 9), width=st.integers(2, 9), channels=st.integers(1, 2),
-       spatial=st.lists(_SPATIAL_LAYER, max_size=5),
-       head=st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3),
-       batch=st.sampled_from([1, 7, 33]), seed=st.integers(0, 2 ** 16))
-def test_trace_and_forward_compute_the_same_bits(height, width, channels, spatial, head,
-                                                 batch, seed):
-    input_spec = [height, width, channels]
+def _random_config(input_spec, spatial, head) -> dict:
+    """The ``spatial`` layers that still fit the image, then the dense ``head``."""
     layers = []
     for cfg in spatial:
         try:
@@ -186,12 +206,49 @@ def test_trace_and_forward_compute_the_same_bits(height, width, channels, spatia
         if relu:
             layers.append({"type": "relu"})
         layers.append({"type": "dense", "units": units})
-    assume(len(layers) >= 2)    # the features need a layer before the classifier
-    model = init_model({"input": input_spec, "layers": layers}, seed)
+    return {"input": input_spec, "layers": layers}
+
+
+_RANDOM_NET = dict(
+    height=st.integers(2, 9), width=st.integers(2, 9), channels=st.integers(1, 2),
+    spatial=st.lists(_SPATIAL_LAYER, max_size=5),
+    head=st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3),
+    batch=st.sampled_from([1, 7, 33]), seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=60)
+@given(**_RANDOM_NET)
+def test_trace_and_forward_compute_the_same_bits(height, width, channels, spatial, head,
+                                                 batch, seed):
+    config = _random_config([height, width, channels], spatial, head)
+    assume(len(config["layers"]) >= 2)    # the features need a layer before the classifier
+    model = init_model(config, seed)
     x = np.random.default_rng(seed).normal(size=(batch, height, width, channels))
     assert np.array_equal(trace(model, x).logits.value, forward(model, x))
     assert np.array_equal(trace(model, x, through="features").features.value,
                           forward_features(model, x))
+
+
+# ---------------------------------------------------------------- max pool
+
+@settings(max_examples=80)
+@given(n=st.integers(1, 3), height=st.integers(1, 7), width=st.integers(1, 7),
+       channels=st.integers(1, 3), window=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_strided_pool_matches_the_gather_form(n, height, width, channels, window, seed):
+    # integer grid: many ties within a window, and zeros of both signs
+    assume(window <= min(height, width))
+    r = np.random.default_rng(seed)
+    shape = (n, height, width, channels)
+    x = r.integers(-2, 3, size=shape).astype(np.float64)
+    x[(x == 0.0) & (r.random(shape) < 0.5)] = -0.0
+    expected, expected_vjp = maxpool_gather(x, window)
+    node = ops.maxpool(x, window)
+    assert np.array_equal(ops.maxpool_value(x, window), expected)
+    assert np.array_equal(node.value, expected)
+    g = r.normal(size=expected.shape)
+    g[r.random(g.shape) < 0.2] = -0.0
+    ((_, vjp),) = node.parents
+    assert vjp(g).tobytes() == expected_vjp(g).tobytes()
 
 
 # ------------------------------------------------------------- softmax CE
@@ -276,6 +333,64 @@ def test_model_gradients_match_finite_differences(rng):
 
         fd = finite_difference(f, param)
         assert rel_error(grads[name], fd) < 1e-4, name
+
+
+def _assert_same_gradient_bits(model, x, labels):
+    run = trace(model, x)
+    loss, _ = softmax_cross_entropy(run.logits, labels)
+    leaves = list(run.param_nodes.values())
+    # an iterator: gradients must read the leaves once and keep them
+    for pruned, unpruned in zip(ad.gradients(loss, iter(leaves)),
+                                gradients_unpruned(loss, leaves)):
+        assert pruned.tobytes() == unpruned.tobytes()
+
+
+def test_default_net_gradients_equal_the_unpruned_walk(rng):
+    model = init_model(default_architecture(16, 4), rng)
+    _assert_same_gradient_bits(model, rng.random((8, 16, 16, 1)), rng.integers(0, 4, 8))
+
+
+@settings(max_examples=40)
+@given(**_RANDOM_NET)
+def test_random_net_gradients_equal_the_unpruned_walk(height, width, channels, spatial,
+                                                      head, batch, seed):
+    model = init_model(_random_config([height, width, channels], spatial, head), seed)
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(batch, height, width, channels))
+    _assert_same_gradient_bits(model, x, r.integers(0, model.num_classes(), batch))
+
+
+def test_backward_never_runs_the_vjp_into_the_input(rng):
+    model = init_model(default_architecture(8, 3), rng)
+    run = trace(model, rng.random((2, 8, 8, 1)))
+    loss, _ = softmax_cross_entropy(run.logits, [0, 2])
+    calls, edges, leaves, stack, seen = Counter(), Counter(), {}, [loss], set()
+
+    def counted(parent, vjp):
+        def wrapped(g):
+            calls[id(parent)] += 1
+            return vjp(g)
+        return wrapped
+
+    while stack:                    # wrap every VJP in the graph with a counter
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if not node.parents:
+            leaves[id(node)] = node
+        node.parents = tuple((p, counted(p, vjp)) for p, vjp in node.parents)
+        edges.update(id(p) for p, _ in node.parents)
+        stack.extend(p for p, _ in node.parents)
+    (image,) = [leaves[k] for k in leaves.keys() - {id(n) for n in run.param_nodes.values()}]
+
+    backward(run, loss)
+    assert calls[id(image)] == 0    # conv1's vjp_x
+    assert calls == edges - Counter({id(image): 1})
+
+    # asked for, the input's gradient is computed as before
+    (g,) = ad.gradients(loss, [image])
+    assert g.tobytes() == gradients_unpruned(loss, [image])[0].tobytes()
 
 
 def test_backward_without_recorded_forward_errors(rng):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from otlab import ConvNetClassifier, OcclusionMapper, TripletEmbedder
 from otlab.data import SyntheticSpec, generate_synthetic
+from otlab.engine.model import default_architecture, init_model
 from otlab.errors import StateError
 from otlab.occlusion import point_in_rect
 
@@ -51,6 +54,16 @@ def test_classifier_same_seed_reproduces():
     b = ConvNetClassifier(steps=30, seed=5).fit(X, y)
     for name in a.model_.params:
         np.testing.assert_array_equal(a.model_.params[name], b.model_.params[name])
+
+
+@pytest.mark.parametrize("outputs, labels", [(2, [0, 1, 2]), (3, [5, 6])])
+def test_base_model_must_have_one_output_per_class(outputs, labels):
+    X, y, _ = _arrays()
+    base = init_model(default_architecture(8, outputs), 0)
+    y = np.asarray(labels)[y % len(labels)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"base_model has {outputs} outputs, but y has {len(labels)} classes")):
+        ConvNetClassifier(steps=1).fit(X, y, base_model=base)
 
 
 def test_unfitted_classifier_raises():
