@@ -135,7 +135,7 @@ def cmd_train_classifier(config_path, seed, out_dir):
 
 @main.command("occlusion-map")
 @_common
-@click.option("--workers", type=int, default=1, show_default=True,
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker threads for the scans.")
 @click.argument("checkpoint_path", type=click.Path())
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):

@@ -183,7 +183,7 @@ def make_verification_pairs(dataset: Dataset, n_match: int, n_nonmatch: int,
 
 
 def save_pairs_csv(pairs: list[tuple[str, str, bool]], path) -> None:
-    with atomic_write(path, newline="") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_a", "id_b", "is_match"])
         for id_a, id_b, is_match in pairs:
@@ -192,19 +192,23 @@ def save_pairs_csv(pairs: list[tuple[str, str, bool]], path) -> None:
 
 def load_pairs_csv(path) -> list[tuple[str, str, bool]]:
     """Parse an ``id_a,id_b,is_match`` CSV; errors name the offending line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     pairs = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row == ["id_a", "id_b", "is_match"]:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            if row[2] not in ("0", "1"):
-                raise FormatError(f"{path}: line {lineno}: is_match must be 0 or 1, "
-                                  f"got {row[2]!r}")
-            pairs.append((row[0], row[1], row[2] == "1"))
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if lineno == 1 and row == ["id_a", "id_b", "is_match"]:
+            continue
+        if len(row) != 3:
+            raise FormatError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+        if row[2] not in ("0", "1"):
+            raise FormatError(f"{path}: line {lineno}: is_match must be 0 or 1, "
+                              f"got {row[2]!r}")
+        pairs.append((row[0], row[1], row[2] == "1"))
     if not pairs:
         raise FormatError(f"{path}: no pairs found")
     return pairs

@@ -22,9 +22,13 @@ with window w gives lo // w and (s + w - 2) // w + 1, the most pooled cells
 s consecutive inputs can reach (inputs in the cropped tail reach none).
 Each layer recomputes the window [lo, lo + s), clipped to its output and
 moved inward at the far border, from its clean input with the previous
-window spliced in, using the same kernels as a full forward; the last
-window is spliced into the clean features and the dense head walks them in
-the same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
+window spliced in, using the same kernels as a full forward. A splice
+gathers the clean regions through one sliding-window view and lays the
+windows over them with one slice assignment per distinct offset of a
+window inside its region; offsets differ only where a window was moved
+inward at a border, so many positions share each. The last window is
+spliced into the clean features and the dense head walks them in the
+same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
 has the same inputs and kernel as in the full forward, and the logits are
 bit-identical to it wherever the BLAS rounds a GEMM row independently of
 the call's other rows (true for the default net; where it is not, the full
@@ -202,16 +206,21 @@ def _splice(base: np.ndarray, start: np.ndarray, size, values: np.ndarray,
 
     Position n gets ``base[start[n] + (0..size)]``; wherever the (n, A, B, C)
     ``values`` block, whose top-left cell sits at ``vstart[n]``, covers a cell
-    of that crop, the block's cell replaces the clean one.
+    of that crop, the block's cell replaces the clean one. Positions sharing
+    the offset ``vstart - start`` are spliced with one slice assignment.
     """
-    windows = sliding_window_view(base, tuple(size), axis=(0, 1))
-    crop = np.ascontiguousarray(windows[start[:, 0], start[:, 1]].transpose(0, 2, 3, 1))
+    windows = sliding_window_view(base, tuple(size), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    crop = windows[start[:, 0], start[:, 1]]
     offset = vstart - start
-    vr = offset[:, :1] + np.arange(values.shape[1])
-    vc = offset[:, 1:] + np.arange(values.shape[2])
-    n, a, b = np.nonzero(((vr >= 0) & (vr < size[0]))[:, :, None]
-                         & ((vc >= 0) & (vc < size[1]))[:, None, :])
-    crop[n, vr[n, a], vc[n, b]] = values[n, a, b]
+    # one integer per distinct (row, column) offset
+    key = offset[:, 0] * (np.ptp(offset[:, 1]) + 1) + offset[:, 1]
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    for g, (r, c) in enumerate(offset[first]):
+        a0, a1 = max(-r, 0), min(values.shape[1], size[0] - r)
+        b0, b1 = max(-c, 0), min(values.shape[2], size[1] - c)
+        if a0 < a1 and b0 < b1:
+            rows = slice(None) if len(first) == 1 else group == g
+            crop[rows, r + a0:r + a1, c + b0:c + b1] = values[rows, a0:a1, b0:b1]
     return crop
 
 
@@ -334,6 +343,8 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     correctly-classified images are used, in input order. Patches are
     pre-sampled sequentially so results do not depend on ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if not images:
         raise ProtocolError("no images supplied for the occlusion map")
     rng = as_rng(rng)

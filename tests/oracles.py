@@ -164,6 +164,25 @@ def binary_map_loops(predict_fn, image, label, patch):
     return grid
 
 
+def splice_loops(base, start, size, values, vstart):
+    """Per-position crops ``base[start[n] + (0..size)]`` of an (H, W, C) tensor,
+    with each cell of ``values[n]`` (top-left cell at ``vstart[n]`` in base
+    coordinates) copied over the crop cell it lands on, if any."""
+    n, a, b, _ = values.shape
+    out = np.zeros((n, size[0], size[1], base.shape[2]))
+    for k in range(n):
+        for i in range(size[0]):
+            for j in range(size[1]):
+                out[k, i, j] = base[start[k][0] + i, start[k][1] + j]
+        for di in range(a):
+            for dj in range(b):
+                i = vstart[k][0] - start[k][0] + di
+                j = vstart[k][1] - start[k][1] + dj
+                if 0 <= i < size[0] and 0 <= j < size[1]:
+                    out[k, i, j] = values[k, di, dj]
+    return out
+
+
 def scan_logits_full(forward_fn, image, patch, stride, chunk=256):
     """Logits of a full forward of every occluded image, positions in
     row-major order, in batches of ``chunk``; forward_fn maps (N,H,W,1)->(N,K)."""

@@ -196,6 +196,27 @@ def test_occlusion_map_bad_stride_exits_2(tmp_path, runner, stride, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_occlusion_map_workers_below_one_exits_2(tmp_path, runner, workers):
+    cfg = write_config(tmp_path, schedule={"steps": 0})
+    out = tmp_path / "s2"
+    result = runner.invoke(main, ["occlusion-map", "--config", str(cfg), "--out", str(out),
+                                  "--workers", workers, str(tmp_path / "checkpoint.otl")])
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2_naming_file(tmp_path, runner):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'{"seed": 5, "note": "\xff"}')
+    result = runner.invoke(main, ["train-classifier", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s1")])
+    assert result.exit_code == 2
+    assert f"{cfg}: not UTF-8 text" in result.output
+    assert not (tmp_path / "s1").exists()
+
+
 def test_corrupt_checkpoint_exits_2_naming_field(tmp_path, runner):
     cfg = write_config(tmp_path, schedule={"steps": 0})
     stage1 = tmp_path / "s1"
@@ -307,6 +328,21 @@ def test_malformed_pairs_row_exits_2_with_line(tmp_path, runner):
                                   "--pairs", str(pairs)])
     assert result.exit_code == 2
     assert "line 3" in result.output
+
+
+def test_non_utf8_pairs_csv_exits_2_naming_file(tmp_path, runner):
+    cfg = write_config(tmp_path, schedule={"steps": 0})
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_bytes(b"id_a,id_b,is_match\nc00/s000,c00/s\xff01,1\n")
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s5"),
+                                  str(stage1 / "checkpoint.otl"),
+                                  "--pairs", str(pairs)])
+    assert result.exit_code == 2
+    assert f"{pairs}: not UTF-8 text" in result.output
+    assert not (tmp_path / "s5").exists()
 
 
 def test_no_correct_classification_exits_4(tmp_path, runner):

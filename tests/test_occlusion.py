@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from otlab import occlusion
 from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import Schedule, init_model, ops, predict, train_classifier
-from otlab.engine.model import Dense, Model, default_architecture, forward
+from otlab.engine.model import INFERENCE_ROWS, Dense, Model, default_architecture, forward
 from otlab.errors import ConfigError, FormatError, ProtocolError
 from otlab.occlusion import (
     BinaryOcclusionMap,
@@ -16,6 +16,7 @@ from otlab.occlusion import (
     PlacementDistribution,
     _scan_grid,
     _scan_logits,
+    _splice,
     aggregate_map,
     apply_occluder,
     augment_batch,
@@ -32,7 +33,13 @@ from otlab.occlusion import (
     top_decile_centroid,
 )
 
-from oracles import binary_map_loops, occlude_loops, scan_grid_full, scan_logits_full
+from oracles import (
+    binary_map_loops,
+    occlude_loops,
+    scan_grid_full,
+    scan_logits_full,
+    splice_loops,
+)
 
 
 # -------------------------------------------------------------- occluders
@@ -205,6 +212,30 @@ def test_stride_fills_blocks_with_scanned_value(rng):
 
 # ------------------------------------------------------ incremental scan
 
+@settings(max_examples=200)
+@given(data=st.data(), single=st.booleans(), broadcast=st.booleans())
+def test_splice_matches_loop_oracle(data, single, broadcast):
+    h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    c, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
+    size = np.array([data.draw(st.integers(1, h)), data.draw(st.integers(1, w))])
+    a, b = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    # a few offsets shared by many positions: negative, partly or wholly outside the crop
+    offsets = data.draw(st.lists(st.tuples(st.integers(-a - 1, size[0] + 1),
+                                           st.integers(-b - 1, size[1] + 1)),
+                                 min_size=1, max_size=4))
+    pick = [0] * n if single else data.draw(
+        st.lists(st.integers(0, len(offsets) - 1), min_size=n, max_size=n))
+    start = np.array([(data.draw(st.integers(0, h - size[0])),
+                       data.draw(st.integers(0, w - size[1]))) for _ in range(n)])
+    vstart = start + np.array(offsets)[pick]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    base = rng.random((h, w, c))
+    values = (np.broadcast_to(rng.random((1, a, b, c)), (n, a, b, c)) if broadcast
+              else rng.random((n, a, b, c)))
+    np.testing.assert_array_equal(_splice(base, start, size, values, vstart),
+                                  splice_loops(base, start, size, values, vstart))
+
+
 _spatial_layers = st.one_of(
     st.builds(lambda kh, kw, f, pad: {"type": "conv", "kernel": [kh, kw], "filters": f,
                                       "padding": pad},
@@ -269,6 +300,16 @@ def test_incremental_scan_is_bit_identical_on_default_net(patch_shape):
     for stride in (1, 3):
         expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, stride)
         np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride), expected)
+
+
+@pytest.mark.parametrize("patch_shape", [(6, 6), (13, 13)])
+def test_incremental_scan_is_bit_identical_across_inference_blocks(patch_shape):
+    model = init_model(default_architecture(32, 10), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    pixels, patch = rng.random((32, 32)), rng.random(patch_shape)
+    expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, 1)
+    assert len(expected) == 4 * INFERENCE_ROWS
+    np.testing.assert_array_equal(_scan_logits(model, pixels, patch, 1), expected)
 
 
 def test_scan_recomputes_only_windows(monkeypatch):
@@ -338,6 +379,14 @@ def test_dataset_map_all_misclassified_is_protocol_error(rng):
     images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id="a")]
     with pytest.raises(ProtocolError):
         dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_dataset_map_rejects_workers_below_one(rng, workers):
+    model = _constant_model((4, 4), always=0)
+    images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id="a")]
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng, workers=workers)
 
 
 def test_dataset_map_worker_count_does_not_change_result(rng):
