@@ -297,13 +297,13 @@ def cmd_report(out_dir):
             ]
             if "decidability" in doc:
                 lines.append(f"  decidability      {doc['decidability']:.4f}")
+        path = out / "train_log.csv"
+        if path.is_file():
+            body_rows = path.read_text(encoding="utf-8").strip().splitlines()
+            lines += ["training log", f"  steps logged      {max(len(body_rows) - 1, 0)}"]
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-        # not JSON, or a field the report reads is missing or mistyped
+        # not UTF-8 or not JSON, or a field the report reads is missing or mistyped
         raise FormatError(f"{path}: malformed artifact ({type(exc).__name__}: {exc})") from exc
-    log_path = out / "train_log.csv"
-    if log_path.is_file():
-        body_rows = log_path.read_text().strip().splitlines()
-        lines += ["training log", f"  steps logged      {max(len(body_rows) - 1, 0)}"]
     if len(lines) == 2:
         lines.append("(no known artifacts found)")
 

@@ -9,6 +9,13 @@ distinct held-in scores plus one sentinel below the minimum and one above
 the maximum. Among equally accurate candidates the one covering the widest
 score interval wins (sentinel intervals count as infinitely wide), with
 the lower threshold breaking remaining ties.
+
+Both the ROC curve and each fold's threshold search sort the scores once
+and count, per distinct score, the matches and non-matches at or above it.
+``np.searchsorted(distinct, t, side="right")`` then gives the accepted
+counts at any threshold exactly as ``score > t`` would, midpoints that round
+onto a neighbouring score included, so every rate is an integer count over
+an integer total: O(n log n) time and O(n) memory per call.
 """
 
 from __future__ import annotations
@@ -72,36 +79,59 @@ def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool
             for a, b, is_match in pairs]
 
 
+# ------------------------------------------------------- threshold sweep
+
+def _score_arrays(scored: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
+    scores = np.array([p.score for p in scored], dtype=np.float64)
+    n_nan = int(np.isnan(scores).sum())
+    if n_nan:
+        raise ProtocolError(f"{n_nan} of {len(scores)} scores are NaN; "
+                            "thresholds cannot order them")
+    return scores, np.array([p.is_match for p in scored], dtype=bool)
+
+
+def _sweep(scores: np.ndarray, matches: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores ascending, plus per index i the numbers of matches and
+    of non-matches scoring at least ``distinct[i]`` (a final 0 at i = len).
+
+    The counts at ``np.searchsorted(distinct, t, side="right")`` are those
+    accepted at threshold t (``scores`` hold no NaN).
+    """
+    distinct = np.unique(scores)
+    slot = np.searchsorted(distinct, scores)
+
+    def at_least(kind: np.ndarray) -> np.ndarray:
+        per_score = np.bincount(slot[kind], minlength=len(distinct))
+        return np.append(np.cumsum(per_score[::-1])[::-1], 0)
+
+    return distinct, at_least(matches), at_least(~matches)
+
+
 # ------------------------------------------------------------------- ROC
 
 def roc(scored: list[ScoredPair]) -> RocCurve:
     """Threshold sweep over all distinct scores (acceptance: score > t)."""
-    scores = np.array([p.score for p in scored], dtype=np.float64)
-    matches = np.array([p.is_match for p in scored], dtype=bool)
+    scores, matches = _score_arrays(scored)
     n_pos = int(matches.sum())
-    n_neg = int((~matches).sum())
+    n_neg = len(matches) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ProtocolError("ROC needs both matching and non-matching pairs")
 
-    distinct = np.unique(scores)[::-1]                 # descending
-    thresholds = np.append(distinct, distinct[-1] - 1.0)  # final sentinel accepts all
-    points = []
-    for t in thresholds:
-        accepted = scores > t
-        far = float((accepted & ~matches).sum() / n_neg)
-        tar = float((accepted & matches).sum() / n_pos)
-        points.append((far, tar))
-    far_arr = np.array([p[0] for p in points])
-    tar_arr = np.array([p[1] for p in points])
-    auc = float(np.trapezoid(tar_arr, far_arr))
-    return RocCurve(thresholds=thresholds, points=points, auc=auc)
+    distinct, pos_from, neg_from = _sweep(scores, matches)
+    thresholds = np.append(distinct[::-1], distinct[0] - 1.0)  # final sentinel accepts all
+    first = np.searchsorted(distinct, thresholds, side="right")
+    far = neg_from[first] / n_neg
+    tar = pos_from[first] / n_pos
+    auc = float(np.trapezoid(tar, far))
+    return RocCurve(thresholds=thresholds, points=list(zip(far.tolist(), tar.tolist())),
+                    auc=auc)
 
 
 # ------------------------------------------------------------ k-fold
 
-def _candidate_thresholds(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_thresholds(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidates plus the width of the score interval each one represents."""
-    distinct = np.unique(scores)
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     widths = np.diff(distinct)
     cands = np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
@@ -115,11 +145,11 @@ def _accuracy_at(scores: np.ndarray, matches: np.ndarray, t: float) -> float:
 
 
 def _best_threshold(scores: np.ndarray, matches: np.ndarray) -> float:
-    cands, widths = _candidate_thresholds(scores)
-    accepted = scores[None, :] > cands[:, None]
-    acc = (accepted == matches[None, :]).mean(axis=1)
-    best = acc.max()
-    optimal = np.nonzero(acc == best)[0]
+    distinct, pos_from, neg_from = _sweep(scores, matches)
+    cands, widths = _candidate_thresholds(distinct)
+    first = np.searchsorted(distinct, cands, side="right")
+    correct = pos_from[first] + (neg_from[0] - neg_from[first])  # accepted + rejected
+    optimal = np.nonzero(correct == correct.max())[0]
     widest = optimal[widths[optimal] == widths[optimal].max()]
     return float(cands[widest[0]])      # lowest threshold among widest intervals
 
@@ -130,14 +160,12 @@ def kfold_accuracy(scored: list[ScoredPair], k: int) -> KFoldReport:
         raise ProtocolError("k-fold protocol needs k >= 2")
     if len(scored) < k:
         raise ProtocolError(f"need at least {k} pairs for {k} folds, got {len(scored)}")
-    scores = np.array([p.score for p in scored], dtype=np.float64)
-    matches = np.array([p.is_match for p in scored], dtype=bool)
+    scores, matches = _score_arrays(scored)
     folds = np.array_split(np.arange(len(scored)), k)
 
     accs, thresholds = [], []
     for fold in folds:
-        held_in = np.setdiff1d(np.arange(len(scored)), fold, assume_unique=True)
-        t = _best_threshold(scores[held_in], matches[held_in])
+        t = _best_threshold(np.delete(scores, fold), np.delete(matches, fold))
         thresholds.append(t)
         accs.append(_accuracy_at(scores[fold], matches[fold], t))
     accs_arr = np.array(accs)

@@ -30,7 +30,7 @@ from .engine.autodiff import Node, gradients
 from .engine.model import Model, forward_features, trace
 from .engine.ops import l2_normalize
 from .engine.optim import Sgd
-from .errors import DivergenceError, StateError
+from .errors import DivergenceError, ProtocolError, StateError
 from .validation import as_rng
 
 
@@ -230,16 +230,19 @@ def online_sample_triplets(embeddings: list[Embedding], alpha: float,
 def decidability(pos_scores, neg_scores) -> float:
     """|mean gap| over the rms of the two spreads; scale-free separation.
 
-    Accepts either distances or similarities; both lists need at least two
-    values and at least one nonzero variance.
+    Accepts either distances or similarities of matching (``pos``) and
+    non-matching (``neg``) pairs; both lists need at least two values and at
+    least one nonzero variance, else ``ProtocolError`` names the counts.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
+    counts = f"{pos.size} matching and {neg.size} non-matching"
     if pos.size < 2 or neg.size < 2:
-        raise ValueError("decidability needs at least two scores per list")
+        raise ProtocolError(f"decidability needs at least two scores of each kind, got {counts}")
     var_sum = pos.var() + neg.var()
     if var_sum == 0.0:
-        raise ValueError("decidability undefined: both score distributions are constant")
+        raise ProtocolError("decidability undefined: both score distributions are constant "
+                            f"({counts} scores)")
     return float(abs(pos.mean() - neg.mean()) / np.sqrt(var_sum / 2.0))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -373,6 +374,52 @@ def test_no_correct_classification_exits_4(tmp_path, runner):
     assert result.exit_code == 4
 
 
+def test_evaluate_with_one_matching_pair_exits_4(tmp_path, runner):
+    # ROC and k-fold accept a single match; decidability needs two of each kind
+    cfg = write_config(tmp_path, schedule={"steps": 0})
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    pairs = tmp_path / "pairs.csv"
+    rows = ["c00/s000,c00/s001,1"] + [f"c00/s{i:03d},c01/s{i:03d},0" for i in range(10)] \
+        + [f"c02/s{i:03d},c03/s{i:03d},0" for i in range(10)]
+    pairs.write_text("id_a,id_b,is_match\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "s5"
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--out", str(out),
+                                  str(stage1 / "checkpoint.otl"), "--pairs", str(pairs)])
+    assert result.exit_code == 4, result.output
+    assert ("decidability needs at least two scores of each kind, "
+            "got 1 matching and 20 non-matching") in result.output
+    assert not (out / "roc.csv").exists() and not (out / "kfold.json").exists()
+
+
+def test_evaluate_with_constant_scores_exits_4(tmp_path, runner):
+    # zero weights and a nonzero bias embed every image alike: all scores are 1
+    cfg = write_config(tmp_path)
+    model = Model((10, 10, 1), [Dense(3), Dense(4)],
+                  {"dense1.weight": np.zeros((100, 3)), "dense1.bias": np.ones(3),
+                   "dense2.weight": np.zeros((3, 4)), "dense2.bias": np.zeros(4)})
+    ckpt = tmp_path / "dead.otl"
+    save_checkpoint(model, ckpt)
+    full, _, _ = ExperimentConfig.load(cfg).dataset_splits()
+    pairs = tmp_path / "pairs.csv"
+    save_pairs_csv(make_verification_pairs(full, 6, 6, np.random.default_rng(0)), pairs)
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg),
+                                  "--out", str(tmp_path / "s5"), str(ckpt),
+                                  "--pairs", str(pairs)])
+    assert result.exit_code == 4, result.output
+    assert ("decidability undefined: both score distributions are constant "
+            "(6 matching and 6 non-matching scores)") in result.output
+
+
+def test_report_on_non_utf8_train_log_exits_2(tmp_path, runner):
+    log = tmp_path / "train_log.csv"
+    log.write_bytes(b"step,loss,accuracy\n1,0.5,\xff\n")
+    result = runner.invoke(main, ["report", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"{log}: malformed artifact (UnicodeDecodeError" in result.output
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_report_on_empty_directory(tmp_path, runner):
     out = tmp_path / "empty"
     out.mkdir()
@@ -431,3 +478,30 @@ def test_a_writer_that_fails_midway_leaves_the_previous_file(tmp_path):
             fh.write("{")
             raise RuntimeError("interrupted")
     assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
+
+
+# bytes of roc.csv and kfold.json from a small fixed evaluate run: any change to
+# the scores, the threshold sweep or the artifact formatting fails this
+EVALUATE_ROC_SHA256 = "b0a3b5b2be875c1b60fa9fd412cbf2d61c93c6f616477cdee1d3ed246685dd3c"
+EVALUATE_KFOLD_SHA256 = "c75e420a94060b01c1575432fb162ec809b71c25b225dc398460ba0bea86766a"
+
+
+def test_evaluate_artifacts_are_pinned(tmp_path, runner):
+    # a weak cue and shuffled pairs keep accuracy and AUC well inside (0, 1)
+    synthetic = dict(base_config()["dataset"]["synthetic"], cue_strength=0.5,
+                     background_noise_sigma=0.1)
+    cfg = write_config(tmp_path, dataset={"synthetic": synthetic},
+                       schedule={"steps": 20, "lr": 0.05, "batch_size": 10})
+    stage1 = tmp_path / "s1"
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    full, _, _ = ExperimentConfig.load(cfg).dataset_splits()
+    rng = np.random.default_rng(3)
+    pairs = make_verification_pairs(full, 40, 40, rng)
+    save_pairs_csv([pairs[i] for i in rng.permutation(len(pairs))], tmp_path / "pairs.csv")
+    out = tmp_path / "s5"
+    result = run_ok(runner, ["evaluate", "--config", str(cfg), "--out", str(out),
+                             str(stage1 / "checkpoint.otl"),
+                             "--pairs", str(tmp_path / "pairs.csv")])
+    assert "k-fold accuracy 0.5750 +- 0.0829 (k=4); AUC 0.7262" in result.output
+    assert hashlib.sha256((out / "roc.csv").read_bytes()).hexdigest() == EVALUATE_ROC_SHA256
+    assert hashlib.sha256((out / "kfold.json").read_bytes()).hexdigest() == EVALUATE_KFOLD_SHA256

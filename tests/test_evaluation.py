@@ -184,8 +184,42 @@ def test_kfold_matches_brute_force_oracle(rng):
     matches[:2] = [True, False]
     report = kfold_accuracy(_pairs(scores, matches), k=5)
     accs, thresholds = kfold_loops(list(scores), list(matches), 5)
-    assert report.per_fold_accuracy == pytest.approx(accs, abs=1e-12)
-    assert report.per_fold_threshold == pytest.approx(thresholds, abs=1e-12)
+    assert report.per_fold_accuracy == accs
+    assert report.per_fold_threshold == thresholds
+
+
+@st.composite
+def _tied_scores(draw):
+    """Scores drawn from a few values: one value, a run of adjacent floats
+    (every midpoint rounds onto an endpoint), or a mix of both with others."""
+    base = draw(st.floats(-1.0, 1.0))
+    values = [base]
+    for _ in range(draw(st.integers(0, 4))):
+        values.append(float(np.nextafter(values[-1], np.inf)))
+    values += draw(st.lists(st.floats(-1.0, 1.0), max_size=3))
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    matches = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    matches[0], matches[1] = True, False        # both kinds present
+    return scores, matches, draw(st.integers(2, min(n, 10)))
+
+
+@given(_tied_scores())
+def test_sweep_equals_loop_oracles_exactly(case):
+    scores, matches, k = case
+    scored = _pairs(scores, matches)
+    assert roc(scored).points == roc_points_loops(scores, matches)
+    report = kfold_accuracy(scored, k)
+    assert (report.per_fold_accuracy, report.per_fold_threshold) == \
+        kfold_loops(scores, matches, k)
+
+
+def test_nan_scores_rejected():
+    scored = _pairs([0.1, float("nan"), 0.9, 0.2], [True, False, True, False])
+    with pytest.raises(ProtocolError, match="1 of 4 scores are NaN"):
+        roc(scored)
+    with pytest.raises(ProtocolError, match="1 of 4 scores are NaN"):
+        kfold_accuracy(scored, k=2)
 
 
 def test_threshold_depends_only_on_held_in_folds(rng):
