@@ -109,15 +109,6 @@ def multiply(a, b) -> Node:
     )
 
 
-def matmul(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    return Node(
-        a.value @ b.value,
-        [(a, lambda g: g @ b.value.T),
-         (b, lambda g: a.value.T @ g)],
-    )
-
-
 def relu(x) -> Node:
     x = as_node(x)
     mask = x.value > 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..validation import as_number, as_rng, check_finite, check_image_batch
+from ..validation import as_number, as_rng, check_image_batch, check_outputs
 from . import autodiff, ops
 from .autodiff import Node
 
@@ -278,7 +278,7 @@ def forward(model: Model, batch) -> np.ndarray:
     """Class scores for a batch; a pure function of (parameters, input)."""
     batch = _check_batch(model, batch)
     logits = walk_blocks(batch.__getitem__, len(batch), model.plan, model.params)
-    return check_finite(logits, "logits")
+    return check_outputs(logits, "logits")
 
 
 def forward_features(model: Model, batch) -> np.ndarray:
@@ -286,7 +286,7 @@ def forward_features(model: Model, batch) -> np.ndarray:
     model.bottleneck_dim()  # validates that a bottleneck exists
     batch = _check_batch(model, batch)
     feats = walk_blocks(batch.__getitem__, len(batch), model.plan[:-1], model.params)
-    return check_finite(feats.reshape(len(batch), -1), "features")
+    return check_outputs(feats.reshape(len(batch), -1), "features")
 
 
 def predict(model: Model, batch) -> np.ndarray:

@@ -5,10 +5,22 @@ returning a :class:`~otlab.engine.autodiff.Node` for training. Conv,
 max-pool and dense compute both from one private forward each, so inference
 and training are bit-identical by construction. The pool forward folds
 ``np.maximum`` over strided window cells; its VJP picks the first cell equal
-to the maximum, as ``argmax`` would. :func:`~otlab.engine.autodiff.relu`
+to the maximum, as ``argmax`` would, and writes ``g`` there through a
+bitwise AND with the hit mask (same bytes as ``np.where(hit, g, 0.0)``,
+-0.0 included, in less time). :func:`~otlab.engine.autodiff.relu`
 keeps a mask form for its VJP; it writes -0.0 where ``np.maximum`` gives
 0.0, which compares equal. Graph ops never call the public ``*_value``
 names, so a probe on either entry point counts each kernel call once.
+
+Conv is one GEMM per direction over the (N·Ho·Wo, kh·kw·C) patch matrix.
+The memory order around the GEMMs is chosen for speed: ``_im2col`` picks
+the matrix's order from the channel count, and ``vjp_x`` gets the patch
+gradients tap-major from ``w @ g.T`` and adds the taps, in (i, j) order,
+into a channel-major buffer returned as a transposed, cropped view. Each
+GEMM sees the values of the NHWC patch matrix and each output cell keeps
+its sum order, so for the default net's shapes the bits equal the NHWC
+form's (``tests/oracles.py`` ``conv2d_nhwc``); other filter or row counts
+may round a last bit differently, deterministically.
 
 Layout conventions: image batches are NHWC, conv weights are
 (kh, kw, c_in, c_out), dense weights are (d_in, d_out).
@@ -25,51 +37,59 @@ from .autodiff import Node, as_node
 # ---------------------------------------------------------------- conv2d
 
 def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
-    """(N, H, W, C) -> (N, Ho, Wo, kh, kw, C) patch view (copied)."""
+    """(N, H, W, C) -> (N·Ho·Wo, kh·kw·C) patch matrix (copied).
+
+    Rows run over (n, y, x) and columns over (i, j, c), matching the
+    (kh, kw, c_in, c_out) weight layout. With one channel the copy is
+    tap-major, so each copied run is an image row, and its F-ordered
+    transpose is returned (numpy hands BLAS a transposed operand, no copy).
+    With more, a tap-major copy is slower than NHWC, whose runs are C long.
+    """
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    # (N, Ho, Wo, C, kh, kw)
     windows = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    # sliding_window_view yields (N, Ho, Wo, C, kh, kw); move C last to match
-    # the (kh, kw, c_in, c_out) weight layout when flattened.
-    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    taps = kh * kw * x.shape[3]
+    if x.shape[3] == 1:
+        return np.ascontiguousarray(windows.transpose(4, 5, 3, 0, 1, 2)).reshape(taps, -1).T
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, taps)
 
 
-def _conv2d_forward(cols: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Convolution output from the (N, Ho, Wo, kh, kw, C) patches of ``_im2col``."""
-    n, ho, wo = cols.shape[:3]
-    out = cols.reshape(n * ho * wo, -1) @ weight.reshape(-1, weight.shape[3])
+def _conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                    padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution output and the ``_im2col`` patch matrix it was computed from."""
+    kh, kw, _, cout = weight.shape
+    n, h, w = x.shape[:3]
+    cols = _im2col(x, kh, kw, padding)
+    out = cols @ weight.reshape(-1, cout)
     out += bias
-    return out.reshape(n, ho, wo, -1)
+    return out.reshape(n, h + 2 * padding - kh + 1, w + 2 * padding - kw + 1, cout), cols
 
 
 def conv2d_value(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, padding: int = 0) -> np.ndarray:
-    return _conv2d_forward(_im2col(x, *weight.shape[:2], padding), weight, bias)
+    return _conv2d_forward(x, weight, bias, padding)[0]
 
 
 def conv2d(x, weight, bias, padding: int = 0) -> Node:
     x, weight, bias = as_node(x), as_node(weight), as_node(bias)
     w_value = weight.value
     kh, kw, cin, cout = w_value.shape
-    cols = _im2col(x.value, kh, kw, padding)
-    out = _conv2d_forward(cols, w_value, bias.value)
-    n, ho, wo = cols.shape[:3]
-    flat_cols = cols.reshape(n * ho * wo, kh * kw * cin)
+    out, cols = _conv2d_forward(x.value, w_value, bias.value, padding)
+    n, ho, wo = out.shape[:3]
+    h, w = x.value.shape[1:3]
 
     def vjp_x(g):
-        dcols = (g.reshape(n * ho * wo, cout) @ w_value.reshape(-1, cout).T)
-        dcols = dcols.reshape(n, ho, wo, kh, kw, cin)
-        hp, wp = x.value.shape[1] + 2 * padding, x.value.shape[2] + 2 * padding
-        dxp = np.zeros((n, hp, wp, cin))
+        # patch gradients come out tap-major, (kh, kw, c_in, N, Ho, Wo); each
+        # tap adds Wo-long runs into a channel-major buffer, taps in (i, j) order
+        dcols = (w_value.reshape(-1, cout) @ g.reshape(-1, cout).T).reshape(kh, kw, cin, n, ho, wo)
+        dxp = np.zeros((cin, n, h + 2 * padding, w + 2 * padding))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + ho, j:j + wo, :] += dcols[:, :, :, i, j, :]
-        if padding:
-            return dxp[:, padding:-padding, padding:-padding, :]
-        return dxp
+                dxp[:, :, i:i + ho, j:j + wo] += dcols[i, j]
+        return dxp.transpose(1, 2, 3, 0)[:, padding:padding + h, padding:padding + w]
 
     def vjp_w(g):
-        dw = flat_cols.T @ g.reshape(n * ho * wo, cout)
-        return dw.reshape(kh, kw, cin, cout)
+        return (cols.T @ g.reshape(-1, cout)).reshape(kh, kw, cin, cout)
 
     def vjp_b(g):
         return g.sum(axis=(0, 1, 2))
@@ -112,7 +132,9 @@ def maxpool(x, window: int) -> Node:
             hit = tiles[:, :, i, :, j, :] == out
             hit &= free
             free ^= hit
-            dtiles[:, :, i, :, j, :] = np.where(hit, g, 0.0)
+            # g's bits where hit, +0.0 elsewhere: np.where(hit, g, 0.0) as a bitwise AND
+            dtiles[:, :, i, :, j, :] = (g.view(np.int64)
+                                        & -hit.view(np.int8).astype(np.int64)).view(np.float64)
         return dx
 
     return Node(out, [(x, vjp)])

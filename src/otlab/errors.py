@@ -23,7 +23,8 @@ class ProtocolError(ValueError):
 
 
 class DivergenceError(ArithmeticError):
-    """Training produced a non-finite loss or parameter value."""
+    """Training produced a non-finite loss or parameter value, or a model's
+    outputs overflowed to NaN or Inf."""
 
 
 class ConfigError(ValueError):

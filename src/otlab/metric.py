@@ -127,8 +127,8 @@ def embed(model: Model, images) -> list[Embedding]:
     norms = np.sqrt((feats * feats).sum(axis=1))
     if np.any(norms == 0.0):
         bad = [items[i].id for i in np.nonzero(norms == 0.0)[0]]
-        raise ValueError(f"zero bottleneck feature vector for image(s) {bad}; "
-                         "cannot normalize")
+        raise ProtocolError(f"zero bottleneck feature vector for image(s) {bad}; "
+                            "cannot normalize")
     unit = feats / norms[:, None]
     return [Embedding(vector=unit[i], source_id=im.id, label=im.label)
             for i, im in enumerate(items)]

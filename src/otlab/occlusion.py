@@ -47,7 +47,7 @@ from .atomic import atomic_write
 from .data import LabeledImage, save_pgm
 from .engine.model import Conv, Model, Relu, apply_layer, forward, walk_blocks
 from .errors import FormatError, ProtocolError
-from .validation import as_number, as_rng, check_finite
+from .validation import as_number, as_rng, check_outputs
 
 NOISE_MODELS = ("none", "salt_pepper", "speckle", "gaussian", "random")
 
@@ -280,7 +280,7 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
 
     logits = walk_blocks(lambda rows: features(positions[rows]), len(positions),
                          model.plan[split:], model.params)
-    return check_finite(logits, "logits")
+    return check_outputs(logits, "logits")
 
 
 def _scan_grid(model: Model, pixels: np.ndarray, label: int, patch: np.ndarray,

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -43,6 +43,14 @@ def as_number(value, name: str, *, integer: bool = False) -> int | float:
 def check_finite(x: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains NaN or Inf values")
+    return x
+
+
+def check_outputs(x: np.ndarray, name: str) -> np.ndarray:
+    """``x`` if finite; a network output that overflowed raises DivergenceError."""
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(f"{name} contains NaN or Inf values: the model's "
+                              "parameters overflow on this input")
     return x
 
 

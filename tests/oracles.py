@@ -33,6 +33,58 @@ def conv2d_loops(x, weight, bias, padding=0):
     return out
 
 
+def conv2d_vjp_loops(x, weight, g, padding=0):
+    """Loop-form VJPs of ``conv2d_loops``: (dx, dweight) for output gradient g."""
+    n, h, w, cin = x.shape
+    kh, kw, _, cout = weight.shape
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, cin))
+    xp[:, padding:padding + h, padding:padding + w, :] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(weight)
+    for b in range(n):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                for co in range(cout):
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for ci in range(cin):
+                                dxp[b, i + di, j + dj, ci] += g[b, i, j, co] * weight[di, dj, ci, co]
+                                dw[di, dj, ci, co] += g[b, i, j, co] * xp[b, i + di, j + dj, ci]
+    return dxp[:, padding:padding + h, padding:padding + w, :], dw
+
+
+def conv2d_nhwc(x, weight, bias, padding=0):
+    """The NHWC im2col convolution: (output, vjp_x, vjp_w).
+
+    The patch matrix is a C-ordered (N*Ho*Wo, kh*kw*C) copy with rows over
+    (n, y, x) and columns over (i, j, c); the forward and both VJPs are one
+    GEMM each, and vjp_x adds the kh*kw taps of the patch gradients, in
+    (i, j) order, into a zero-padded NHWC buffer.
+    """
+    n, h, w, cin = x.shape
+    kh, kw, _, cout = weight.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    ho, wo = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(n * ho * wo, -1)
+    w2d = weight.reshape(-1, cout)
+    out = cols @ w2d
+    out += bias
+
+    def vjp_x(g):
+        dcols = (g.reshape(-1, cout) @ w2d.T).reshape(n, ho, wo, kh, kw, cin)
+        dxp = np.zeros(xp.shape)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, i:i + ho, j:j + wo, :] += dcols[:, :, :, i, j, :]
+        return dxp[:, padding:padding + h, padding:padding + w, :]
+
+    def vjp_w(g):
+        return (cols.T @ g.reshape(-1, cout)).reshape(weight.shape)
+
+    return out.reshape(n, ho, wo, cout), vjp_x, vjp_w
+
+
 def maxpool_loops(x, window):
     n, h, w, c = x.shape
     ho, wo = h // window, w // window
@@ -67,6 +119,13 @@ def maxpool_gather(x, window):
         return dx
 
     return out, vjp
+
+
+def matmul(a, b):
+    """Recorded ``a @ b`` of two graph nodes, built as ``type(a)(value, parents)``;
+    its VJPs are ``g @ b.T`` and ``a.T @ g``."""
+    return type(a)(a.value @ b.value, [(a, lambda g: g @ b.value.T),
+                                       (b, lambda g: a.value.T @ g)])
 
 
 def gradients_unpruned(loss, leaves):

@@ -392,23 +392,45 @@ def test_evaluate_with_one_matching_pair_exits_4(tmp_path, runner):
     assert not (out / "roc.csv").exists() and not (out / "kfold.json").exists()
 
 
-def test_evaluate_with_constant_scores_exits_4(tmp_path, runner):
-    # zero weights and a nonzero bias embed every image alike: all scores are 1
+def _evaluate_dense_net(tmp_path, runner, weight, bias):
+    """``evaluate`` on 6 + 6 pairs with a Dense(3)/Dense(4) net on 10x10 inputs."""
     cfg = write_config(tmp_path)
     model = Model((10, 10, 1), [Dense(3), Dense(4)],
-                  {"dense1.weight": np.zeros((100, 3)), "dense1.bias": np.ones(3),
+                  {"dense1.weight": weight, "dense1.bias": bias,
                    "dense2.weight": np.zeros((3, 4)), "dense2.bias": np.zeros(4)})
-    ckpt = tmp_path / "dead.otl"
+    ckpt = tmp_path / "dense.otl"
     save_checkpoint(model, ckpt)
     full, _, _ = ExperimentConfig.load(cfg).dataset_splits()
     pairs = tmp_path / "pairs.csv"
     save_pairs_csv(make_verification_pairs(full, 6, 6, np.random.default_rng(0)), pairs)
-    result = runner.invoke(main, ["evaluate", "--config", str(cfg),
-                                  "--out", str(tmp_path / "s5"), str(ckpt),
-                                  "--pairs", str(pairs)])
+    out = tmp_path / "s5"
+    result = runner.invoke(main, ["evaluate", "--config", str(cfg), "--out", str(out),
+                                  str(ckpt), "--pairs", str(pairs)])
+    return result, out
+
+
+def test_evaluate_with_constant_scores_exits_4(tmp_path, runner):
+    # zero weights and a nonzero bias embed every image alike: all scores are 1
+    result, _ = _evaluate_dense_net(tmp_path, runner, np.zeros((100, 3)), np.ones(3))
     assert result.exit_code == 4, result.output
     assert ("decidability undefined: both score distributions are constant "
             "(6 matching and 6 non-matching scores)") in result.output
+
+
+def test_evaluate_with_a_dead_checkpoint_exits_4_naming_images(tmp_path, runner):
+    # zero weights and zero biases: every bottleneck vector is zero
+    result, out = _evaluate_dense_net(tmp_path, runner, np.zeros((100, 3)), np.zeros(3))
+    assert result.exit_code == 4, result.output
+    assert re.search(r"zero bottleneck feature vector for image\(s\) \['[^']+'(, '[^']+')*\]; "
+                     "cannot normalize", result.output), result.output
+    assert not (out / "kfold.json").exists()
+
+
+def test_evaluate_with_an_overflowing_checkpoint_exits_3(tmp_path, runner):
+    result, out = _evaluate_dense_net(tmp_path, runner, np.full((100, 3), 1.5e308), np.zeros(3))
+    assert result.exit_code == 3, result.output
+    assert "features contains NaN or Inf values" in result.output
+    assert not (out / "kfold.json").exists()
 
 
 def test_report_on_non_utf8_train_log_exits_2(tmp_path, runner):

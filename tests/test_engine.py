@@ -38,6 +38,8 @@ from otlab.errors import ConfigError, CorruptionError, DivergenceError, FormatEr
 
 from oracles import (
     conv2d_loops,
+    conv2d_nhwc,
+    conv2d_vjp_loops,
     finite_difference,
     gradients_unpruned,
     maxpool_gather,
@@ -229,6 +231,55 @@ def test_trace_and_forward_compute_the_same_bits(height, width, channels, spatia
                           forward_features(model, x))
 
 
+# ---------------------------------------------------------------- conv
+
+@pytest.mark.parametrize("n, size, cin, cout, padding", [
+    *((n, 32, 1, 8, 1) for n in (32, 64, 256)),          # default net conv1
+    *((n, 16, 8, 16, 1) for n in (32, 64, 256)),         # default net conv2
+    (256, 17, 1, 8, 0), (256, 10, 8, 16, 0), (256, 7, 8, 16, 0),   # scan regions
+])
+def test_conv_bits_equal_the_nhwc_kernel(n, size, cin, cout, padding):
+    # only the memory order around each GEMM differs: every GEMM sees the same
+    # values and every output cell keeps its sum order
+    r = np.random.default_rng(size * cin + n)
+    x = r.normal(size=(n, size, size, cin))
+    weight = r.normal(size=(3, 3, cin, cout))
+    bias = r.normal(size=cout)
+    expected, expected_vjp_x, expected_vjp_w = conv2d_nhwc(x, weight, bias, padding)
+    node = ops.conv2d(x, weight, bias, padding)
+    assert ops.conv2d_value(x, weight, bias, padding).tobytes() == expected.tobytes()
+    assert node.value.tobytes() == expected.tobytes()
+    g = r.normal(size=expected.shape)
+    (_, vjp_x), (_, vjp_w), _ = node.parents
+    assert vjp_x(g).tobytes() == expected_vjp_x(g).tobytes()
+    assert vjp_w(g).tobytes() == expected_vjp_w(g).tobytes()
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 3), height=st.integers(1, 6), width=st.integers(1, 6),
+       cin=st.sampled_from([1, 2, 3, 4, 8]), kh=st.integers(1, 3), kw=st.integers(1, 3),
+       cout=st.integers(1, 16), padding=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+def test_conv_matches_the_loop_oracle(n, height, width, cin, kh, kw, cout, padding, seed):
+    # other filter and row counts may round the last bit differently from the
+    # NHWC kernel (README "Engine"), so these compare to 1e-12
+    assume(kh <= height + 2 * padding and kw <= width + 2 * padding)
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, height, width, cin))
+    weight = r.normal(size=(kh, kw, cin, cout))
+    bias = r.normal(size=cout)
+    expected = conv2d_loops(x, weight, bias, padding)
+    node = ops.conv2d(x, weight, bias, padding)
+    np.testing.assert_allclose(ops.conv2d_value(x, weight, bias, padding), expected,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(node.value, expected, rtol=0, atol=1e-12)
+    g = r.normal(size=expected.shape)
+    dx, dw = conv2d_vjp_loops(x, weight, g, padding)
+    (_, vjp_x), (_, vjp_w), (_, vjp_b) = node.parents
+    np.testing.assert_allclose(vjp_x(g), dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vjp_w(g), dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vjp_b(g), g.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- max pool
 
 @settings(max_examples=80)
@@ -249,6 +300,11 @@ def test_strided_pool_matches_the_gather_form(n, height, width, channels, window
     g[r.random(g.shape) < 0.2] = -0.0
     ((_, vjp),) = node.parents
     assert vjp(g).tobytes() == expected_vjp(g).tobytes()
+    # g as the cropped channel-major view that conv2d's vjp_x returns
+    buf = np.zeros((channels, n) + tuple(s + 2 for s in g.shape[1:3]))
+    buf[:, :, 1:-1, 1:-1] = g.transpose(3, 0, 1, 2)
+    view = buf.transpose(1, 2, 3, 0)[:, 1:-1, 1:-1]
+    assert vjp(view).tobytes() == expected_vjp(g).tobytes()
 
 
 # ------------------------------------------------------------- softmax CE

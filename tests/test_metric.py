@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,14 @@ from hypothesis import strategies as st
 
 from otlab import metric
 from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
-from otlab.engine import Schedule, autodiff, forward_features, init_model, train_classifier
+from otlab.engine import (
+    Schedule,
+    autodiff,
+    default_architecture,
+    forward_features,
+    init_model,
+    train_classifier,
+)
 from otlab.errors import DivergenceError, StateError
 from otlab.metric import (
     Embedding,
@@ -512,3 +521,21 @@ def test_finetune_batch_mode_shrinks_variance():
     first = updated[0]["var_ap"] + updated[0]["var_an"]
     last = updated[-1]["var_ap"] + updated[-1]["var_an"]
     assert last < first
+
+
+# parameters of the seed-0 default net after a 3-step batch-loss fine-tune, one
+# 64-image pool per step: pins the batch-64 forward and VJP bits the way
+# tests/test_engine.py's DEFAULT_TRAIN20_SHA256 pins batch 32
+DEFAULT_FINETUNE3_SHA256 = "1814bc9180499b992bfb34e13caadbe49d9a76613012cc3d861e0bae812708f7"
+
+
+def test_default_finetune_bits_are_pinned():
+    dataset = generate_synthetic(SyntheticSpec(class_count=10, samples_per_class=8, seed=0))
+    model = init_model(default_architecture(32, 10), 0)
+    _, rows = finetune(model, dataset, LossConfig(mode="batch"), FinetuneSchedule(steps=3), 0)
+    assert [r["triplet_count"] for r in rows] == [25088] * 3
+    digest = hashlib.sha256()
+    for name, value in model.params.items():
+        digest.update(name.encode())
+        digest.update(value.tobytes())
+    assert digest.hexdigest() == DEFAULT_FINETUNE3_SHA256
