@@ -7,7 +7,10 @@ checks that the layers compose and that every tensor has its planned
 shape. One walk over the plan (:func:`walk`) serves inference and
 recording: :func:`apply_layer` runs a layer's graph op when its input is a
 ``Node`` and its ``*_value`` kernel otherwise. Inference walks any batch in
-``INFERENCE_ROWS``-row blocks (:func:`walk_blocks`).
+``INFERENCE_ROWS``-row blocks (:func:`walk_blocks`); inside a block the
+spatial layers (:func:`spatial_depth`) walk ``SPATIAL_ROWS``-image sub-blocks,
+so each conv's patch matrix stays cache-sized, and the dense head walks the
+whole block.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ LayerSpec = Conv | Relu | MaxPool | Dense
 # the occlusion scan's dense head): bounds inference memory, and keeps one set of
 # GEMM shapes, so a row's bits do not depend on how many rows a caller passes.
 INFERENCE_ROWS = 256
+
+# Images per sub-block of a block's spatial layers. Conv GEMM rows round alike at
+# any row count on the default net, so the training batch (32) keeps a conv's
+# patch matrix (4.7 MB for the default conv2) in cache and under glibc's mmap
+# threshold; dense GEMMs below ~1M multiply-adds take OpenBLAS's small-matrix
+# path and round differently, so the head keeps whole blocks.
+SPATIAL_ROWS = 32
 
 
 def layer_from_config(cfg: dict) -> LayerSpec:
@@ -264,13 +274,29 @@ def walk(x, steps, params):
     return x
 
 
+def spatial_depth(steps) -> int:
+    """How many leading ``steps`` are spatial (conv, relu or max-pool on (H, W, C))."""
+    return sum(len(step.out_shape) == 3 for step in steps)
+
+
 def walk_blocks(block, rows: int, steps, params) -> np.ndarray:
     """``walk`` over ``rows`` inputs in ``INFERENCE_ROWS``-row blocks, outputs stacked.
 
-    ``block(rows)`` builds the inputs of a slice of rows and goes straight into
-    ``walk``, so no name holds a block while it runs (an empty batch walks once).
+    Inside a block the spatial steps walk ``SPATIAL_ROWS``-image sub-blocks and
+    the rest walk the stacked block. ``block(rows)`` builds the inputs of a slice
+    of rows and goes straight into the walk, so no name holds a block while its
+    head runs (an empty batch walks once).
     """
-    return np.concatenate([walk(block(slice(s, s + INFERENCE_ROWS)), steps, params)
+    split = spatial_depth(steps)
+    spatial, head = steps[:split], steps[split:]
+
+    def spatial_block(part):
+        x = block(part)
+        return np.concatenate([walk(x[s:s + SPATIAL_ROWS], spatial, params)
+                               for s in range(0, max(len(x), 1), SPATIAL_ROWS)])
+
+    source = spatial_block if split else block
+    return np.concatenate([walk(source(slice(s, s + INFERENCE_ROWS)), head, params)
                            for s in range(0, max(rows, 1), INFERENCE_ROWS)])
 
 

@@ -118,18 +118,24 @@ class TripletBatch:
 
 # ------------------------------------------------------------ embeddings
 
+def _feature_norms(feats: np.ndarray, items, where: str = "") -> np.ndarray:
+    """Row norms of ``feats``; ``ProtocolError`` names the ids of ``items`` whose
+    bottleneck vector is all zero (a dead network), which no norm can scale."""
+    norms = np.sqrt((feats * feats).sum(axis=1))
+    if np.any(norms == 0.0):
+        bad = [items[i].id for i in np.nonzero(norms == 0.0)[0]]
+        raise ProtocolError(f"zero bottleneck feature vector for image(s) {bad}; "
+                            f"cannot normalize{where}")
+    return norms
+
+
 def embed(model: Model, images) -> list[Embedding]:
     """Unit-norm bottleneck embeddings for a Dataset or list of images."""
     items: list[LabeledImage] = list(images.images) if isinstance(images, Dataset) else list(images)
     if not items:
         return []
     feats = forward_features(model, np.stack([im.pixels for im in items])[:, :, :, np.newaxis])
-    norms = np.sqrt((feats * feats).sum(axis=1))
-    if np.any(norms == 0.0):
-        bad = [items[i].id for i in np.nonzero(norms == 0.0)[0]]
-        raise ProtocolError(f"zero bottleneck feature vector for image(s) {bad}; "
-                            "cannot normalize")
-    unit = feats / norms[:, None]
+    unit = feats / _feature_norms(feats, items)[:, None]
     return [Embedding(vector=unit[i], source_id=im.id, label=im.label)
             for i, im in enumerate(items)]
 
@@ -286,6 +292,8 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
         labels = dataset.label_array()[pool_idx]
 
         run = trace(model, images, through="features")
+        _feature_norms(run.features.value, [dataset.images[i] for i in pool_idx],
+                       f" at fine-tune step {step}")
         distances = autodiff.sq_distances(l2_normalize(run.features))
         batch = _mine(distances, labels, config.alpha, config.online, config.max_triplets, rng)
 

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_write
 from .data import LabeledImage, save_pgm
-from .engine.model import Conv, Model, Relu, apply_layer, forward, walk_blocks
+from .engine.model import Conv, Model, Relu, apply_layer, forward, spatial_depth, walk_blocks
 from .errors import FormatError, ProtocolError
 from .validation import as_number, as_rng, check_outputs
 
@@ -233,8 +233,7 @@ def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: in
     h, w = pixels.shape
     dims = np.array([h, w])
     positions = np.array([(i, j) for i in range(0, h, stride) for j in range(0, w, stride)])
-    # the spatial layers (3-D outputs) precede the first dense layer
-    split = sum(len(step.out_shape) == 3 for step in model.plan)
+    split = spatial_depth(model.plan)
 
     # clean pass: the input of each spatial layer (conv inputs zero-padded)
     x = pixels[np.newaxis, :, :, np.newaxis]

@@ -242,6 +242,18 @@ def splice_loops(base, start, size, values, vstart):
     return out
 
 
+def walk_plain(apply, steps, x, rows=256):
+    """The plain inference walk: every step on whole ``rows``-row blocks of ``x``,
+    outputs stacked; ``apply(step, batch)`` runs one layer."""
+    outs = []
+    for s in range(0, max(len(x), 1), rows):
+        block = x[s:s + rows]
+        for step in steps:
+            block = apply(step, block)
+        outs.append(block)
+    return np.concatenate(outs)
+
+
 def scan_logits_full(forward_fn, image, patch, stride, chunk=256):
     """Logits of a full forward of every occluded image, positions in
     row-major order, in batches of ``chunk``; forward_fn maps (N,H,W,1)->(N,K)."""

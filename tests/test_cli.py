@@ -392,14 +392,20 @@ def test_evaluate_with_one_matching_pair_exits_4(tmp_path, runner):
     assert not (out / "roc.csv").exists() and not (out / "kfold.json").exists()
 
 
-def _evaluate_dense_net(tmp_path, runner, weight, bias):
-    """``evaluate`` on 6 + 6 pairs with a Dense(3)/Dense(4) net on 10x10 inputs."""
-    cfg = write_config(tmp_path)
+def _dense_net_checkpoint(tmp_path, weight, bias):
+    """A Dense(3)/Dense(4) net on 10x10 inputs, saved; returns the checkpoint path."""
     model = Model((10, 10, 1), [Dense(3), Dense(4)],
                   {"dense1.weight": weight, "dense1.bias": bias,
                    "dense2.weight": np.zeros((3, 4)), "dense2.bias": np.zeros(4)})
     ckpt = tmp_path / "dense.otl"
     save_checkpoint(model, ckpt)
+    return ckpt
+
+
+def _evaluate_dense_net(tmp_path, runner, weight, bias):
+    """``evaluate`` on 6 + 6 pairs with a Dense(3)/Dense(4) net on 10x10 inputs."""
+    cfg = write_config(tmp_path)
+    ckpt = _dense_net_checkpoint(tmp_path, weight, bias)
     full, _, _ = ExperimentConfig.load(cfg).dataset_splits()
     pairs = tmp_path / "pairs.csv"
     save_pairs_csv(make_verification_pairs(full, 6, 6, np.random.default_rng(0)), pairs)
@@ -424,6 +430,19 @@ def test_evaluate_with_a_dead_checkpoint_exits_4_naming_images(tmp_path, runner)
     assert re.search(r"zero bottleneck feature vector for image\(s\) \['[^']+'(, '[^']+')*\]; "
                      "cannot normalize", result.output), result.output
     assert not (out / "kfold.json").exists()
+
+
+def test_finetune_on_a_dead_checkpoint_exits_4_naming_images(tmp_path, runner):
+    # zero weights and zero biases: every bottleneck vector of the first pool is zero
+    cfg = write_config(tmp_path)
+    ckpt = _dense_net_checkpoint(tmp_path, np.zeros((100, 3)), np.zeros(3))
+    out = tmp_path / "s4"
+    result = runner.invoke(main, ["finetune-triplet", "--config", str(cfg), "--out", str(out),
+                                  str(ckpt)])
+    assert result.exit_code == 4, result.output
+    assert re.search(r"zero bottleneck feature vector for image\(s\) \['[^']+'(, '[^']+')*\]; "
+                     "cannot normalize at fine-tune step 1", result.output), result.output
+    assert not (out / "checkpoint.otl").exists()
 
 
 def test_evaluate_with_an_overflowing_checkpoint_exits_3(tmp_path, runner):

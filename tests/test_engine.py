@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,9 +28,11 @@ from otlab.engine import autodiff as ad
 from otlab.engine import ops
 from otlab.engine.model import (
     INFERENCE_ROWS,
+    SPATIAL_ROWS,
     Conv,
     Dense,
     Model,
+    apply_layer,
     default_architecture,
     layer_from_config,
     plan_layers,
@@ -46,6 +49,7 @@ from oracles import (
     maxpool_loops,
     rel_error,
     softmax_ce_loops,
+    walk_plain,
 )
 
 
@@ -174,10 +178,17 @@ def test_default_init_draws_are_pinned(tmp_path):
 DEFAULT_TRAIN20_SHA256 = "0790896e3fc1f2660b4ef5aa733f4cced17766fc02ea08cf35f6d361152c85e7"
 
 
-def test_default_training_bits_are_pinned():
+@pytest.fixture(scope="module")
+def trained_default_net():
+    """The seed-0 default net after 20 training steps, and its log rows."""
     dataset = generate_synthetic(SyntheticSpec(class_count=10, samples_per_class=8, seed=0))
     model = init_model(default_architecture(32, 10), 0)
     rows = train_classifier(model, dataset, Schedule(steps=20, lr=0.02), 0)
+    return model, rows
+
+
+def test_default_training_bits_are_pinned(trained_default_net):
+    model, rows = trained_default_net
     assert len(rows) == 20
     digest = hashlib.sha256()
     for name, value in model.params.items():
@@ -186,13 +197,17 @@ def test_default_training_bits_are_pinned():
     assert digest.hexdigest() == DEFAULT_TRAIN20_SHA256
 
 
-_SPATIAL_LAYER = st.one_of(
-    st.builds(lambda kh, kw, filters, padding: {"type": "conv", "kernel": [kh, kw],
-                                                "filters": filters, "padding": padding},
-              st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 1)),
-    st.just({"type": "relu"}),
-    st.builds(lambda window: {"type": "maxpool", "window": window}, st.integers(2, 3)),
-)
+def _spatial_layer(filters):
+    return st.one_of(
+        st.builds(lambda kh, kw, filters, padding: {"type": "conv", "kernel": [kh, kw],
+                                                    "filters": filters, "padding": padding},
+                  st.integers(1, 3), st.integers(1, 3), filters, st.integers(0, 1)),
+        st.just({"type": "relu"}),
+        st.builds(lambda window: {"type": "maxpool", "window": window}, st.integers(2, 3)),
+    )
+
+
+_SPATIAL_LAYER = _spatial_layer(st.integers(1, 3))
 
 
 def _random_config(input_spec, spatial, head) -> dict:
@@ -468,19 +483,77 @@ def test_features_stop_before_classifier(rng):
 def test_inference_walks_blocks_of_inference_rows(rng, monkeypatch):
     model = init_model(small_config(), rng)
     x = rng.random((600, 6, 6, 1))
-    rows = []
-    conv = ops.conv2d_value
+    rows = {"conv2d_value": [], "dense_value": []}
 
-    def recording(batch, *args):
-        rows.append(len(batch))
-        return conv(batch, *args)
+    def recording(name):
+        kernel = getattr(ops, name)
 
-    monkeypatch.setattr(ops, "conv2d_value", recording)
-    for fn in (forward, forward_features):
+        def record(batch, *args):
+            rows[name].append(len(batch))
+            return kernel(batch, *args)
+        return record
+
+    for name in rows:
+        monkeypatch.setattr(ops, name, recording(name))
+    tail = 600 - 2 * INFERENCE_ROWS
+    for fn, dense_layers in ((forward, 2), (forward_features, 1)):
         blocks = [fn(model, x[s:s + INFERENCE_ROWS]) for s in range(0, len(x), INFERENCE_ROWS)]
-        rows.clear()
+        for kernel_rows in rows.values():
+            kernel_rows.clear()
         np.testing.assert_array_equal(fn(model, x), np.concatenate(blocks))
-        assert rows == [INFERENCE_ROWS, INFERENCE_ROWS, 600 - 2 * INFERENCE_ROWS]
+        # the spatial layers walk sub-blocks, the dense head whole blocks
+        assert rows["conv2d_value"] == ([SPATIAL_ROWS] * (2 * INFERENCE_ROWS // SPATIAL_ROWS)
+                                        + [SPATIAL_ROWS] * (tail // SPATIAL_ROWS)
+                                        + [tail % SPATIAL_ROWS])
+        assert rows["dense_value"] == [n for n in (INFERENCE_ROWS, INFERENCE_ROWS, tail)
+                                       for _ in range(dense_layers)]
+
+
+def _walk_plain(model, steps, x):
+    return walk_plain(lambda step, batch: apply_layer(step, model.params, batch), steps, x)
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["init", "trained20"])
+def test_blocked_walk_bits_equal_the_plain_walk(trained, trained_default_net):
+    model = trained_default_net[0] if trained else init_model(default_architecture(32, 10), 0)
+    x = np.random.default_rng(3).random((600, 32, 32, 1))
+    for n in (1, 31, 32, 33, 255, 256, 257, 600):
+        assert forward(model, x[:n]).tobytes() == _walk_plain(model, model.plan, x[:n]).tobytes()
+        features = _walk_plain(model, model.plan[:-1], x[:n]).reshape(n, -1)
+        assert forward_features(model, x[:n]).tobytes() == features.tobytes()
+
+
+@settings(max_examples=40)
+@given(**{**_RANDOM_NET, "spatial": st.lists(_spatial_layer(st.sampled_from([1, 2, 9])),
+                                               max_size=5),
+          "batch": st.sampled_from([1, 33, 70])})
+def test_blocked_walk_matches_the_plain_walk_on_random_nets(height, width, channels, spatial,
+                                                            head, batch, seed):
+    # 1- and 9-filter convs may round a row differently at another row count
+    # (README "Engine"), so these compare to 1e-12
+    config = _random_config([height, width, channels], spatial, head)
+    assume(len(config["layers"]) >= 2)
+    model = init_model(config, seed)
+    x = np.random.default_rng(seed).normal(size=(batch, height, width, channels))
+    np.testing.assert_allclose(forward(model, x), _walk_plain(model, model.plan, x),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(forward_features(model, x),
+                               _walk_plain(model, model.plan[:-1], x).reshape(batch, -1),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_inference_peak_memory_is_bounded():
+    # sub-blocks keep the largest temporary, conv2's patch matrix, at 4.7 MB;
+    # whole 256-image blocks made it 37.7 MB
+    model = init_model(default_architecture(32, 10), 0)
+    x = np.random.default_rng(0).random((600, 32, 32, 1))
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # --------------------------------------------------------------------- SGD
