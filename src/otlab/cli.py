@@ -120,12 +120,11 @@ def cmd_train_classifier(config_path, seed, out_dir):
     cfg = ExperimentConfig.load(config_path, seed)
     _full, train, _val = cfg.dataset_splits()
     schedule = cfg.schedule()
-    model_cfg = cfg.model_config(train)
+    rng = as_rng(cfg.seed)
+    model = init_model(cfg.model_config(train), rng)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = as_rng(cfg.seed)
-    model = init_model(model_cfg, rng)
     rows = train_classifier(model, train, schedule, rng)
     _save_training(out, model, rng, cfg, {"stage": "classifier", "steps": schedule.steps,
                                           "loss_mode": "softmax_ce"}, CLASSIFIER_LOG, rows)

@@ -3,6 +3,10 @@
 Dataset identity (synthetic spec seed, split seed) is separate from the
 run seed passed via ``--seed``/``"seed"``: stages of one experiment share
 the same dataset while varying training randomness.
+
+Object sections are read into their dataclasses, which own each key's type,
+default and range, by :func:`~otlab.validation.from_section`; a key that the
+dataclass does not declare is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .engine.train import Schedule
 from .errors import ConfigError, FormatError
 from .metric import FinetuneSchedule, LossConfig
 from .occlusion import OccluderSpec
-from .validation import as_number
+from .validation import as_number, from_section
 
 
 def _int(section: dict, key: str, default, where: str = "") -> int:
@@ -80,10 +84,10 @@ class ExperimentConfig:
                               '({"synthetic": {...}} or {"path": "..."})')
         val_fraction = _float(self.raw, "val_fraction", 0.1)
         if "synthetic" in section:
+            spec = SyntheticSpec.from_config(section["synthetic"])
             try:
-                spec = SyntheticSpec.from_config(section["synthetic"])
                 full = generate_synthetic(spec)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid synthetic dataset spec: {exc}") from exc
             split_seed = _int(section, "split_seed", spec.seed, "dataset.")
         elif "path" in section:
@@ -117,23 +121,12 @@ class ExperimentConfig:
                                     bottleneck=_int(self.raw, "bottleneck", 32))
 
     def schedule(self) -> Schedule:
-        section = self._section("schedule")
-        try:
-            return Schedule(steps=_int(section, "steps", 600, "schedule."),
-                            lr=_float(section, "lr", 0.05, "schedule."),
-                            momentum=_float(section, "momentum", 0.9, "schedule."),
-                            batch_size=_int(section, "batch_size", 32, "schedule."))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid schedule: {exc}") from exc
+        return from_section(Schedule, self.raw.get("schedule", {}), "schedule")
 
     def occluder(self) -> OccluderSpec:
-        section = self.raw.get("occluder")
-        if section is None:
+        if self.raw.get("occluder") is None:
             raise ConfigError('config needs an "occluder" object for this command')
-        try:
-            return OccluderSpec.from_config(section)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid occluder spec: {exc}") from exc
+        return from_section(OccluderSpec, self.raw["occluder"], "occluder")
 
     def temperature(self) -> float:
         t = _float(self.raw, "temperature", 0.4)
@@ -166,34 +159,10 @@ class ExperimentConfig:
         return f
 
     def loss(self) -> LossConfig:
-        section = self._section("loss")
-        online = section.get("online", True)
-        if not isinstance(online, bool):
-            raise ConfigError(f"loss.online must be true or false, got {online!r}")
-        cap = section.get("max_triplets")
-        try:
-            return LossConfig(
-                mode=section.get("mode", "batch"),
-                alpha=_float(section, "alpha", 0.5, "loss."),
-                beta=_float(section, "beta", 0.7, "loss."),
-                online=online,
-                max_triplets=None if cap is None else _int(section, "max_triplets", None, "loss."),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid loss config: {exc}") from exc
+        return from_section(LossConfig, self.raw.get("loss", {}), "loss")
 
     def finetune_schedule(self) -> FinetuneSchedule:
-        section = self._section("finetune")
-        try:
-            return FinetuneSchedule(
-                steps=_int(section, "steps", 200, "finetune."),
-                lr=_float(section, "lr", 0.01, "finetune."),
-                momentum=_float(section, "momentum", 0.9, "finetune."),
-                pool_classes=_int(section, "pool_classes", 8, "finetune."),
-                pool_per_class=_int(section, "pool_per_class", 8, "finetune."),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid finetune schedule: {exc}") from exc
+        return from_section(FinetuneSchedule, self.raw.get("finetune", {}), "finetune")
 
     def eval_k(self) -> int:
         k = _int(self._section("eval"), "k", 10, "eval.")

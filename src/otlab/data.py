@@ -19,7 +19,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import FormatError, StateError
-from .validation import as_rng, check_rect, check_single_image
+from .validation import as_rng, check_rect, check_single_image, from_section
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SyntheticSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown synthetic spec fields: {sorted(unknown)}")
-        if "cue_region" in cfg and cfg["cue_region"] is not None:
-            cfg = dict(cfg, cue_region=tuple(int(v) for v in cfg["cue_region"]))
-        return cls(**cfg)
+        return from_section(cls, cfg, "dataset.synthetic")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -112,7 +112,7 @@ def multiply(a, b) -> Node:
 def relu(x) -> Node:
     x = as_node(x)
     mask = x.value > 0
-    return Node(x.value * mask, [(x, lambda g: g * mask)])
+    return Node(np.maximum(x.value, 0.0), [(x, lambda g: g * mask)])
 
 
 def square(x) -> Node:

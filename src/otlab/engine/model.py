@@ -16,12 +16,13 @@ whole block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..validation import as_number, as_rng, check_image_batch, check_outputs
+from ..validation import (as_number, as_rng, at_least, check_image_batch, check_outputs,
+                          from_section)
 from . import autodiff, ops
 from .autodiff import Node
 
@@ -31,6 +32,10 @@ class Conv:
     kernel: tuple[int, int]
     filters: int
     padding: int = 0
+
+    def __post_init__(self):
+        at_least(1, "conv ", kernel=min(self.kernel), filters=self.filters)
+        at_least(0, "conv ", padding=self.padding)
 
 
 @dataclass(frozen=True)
@@ -42,13 +47,21 @@ class Relu:
 class MaxPool:
     window: int
 
+    def __post_init__(self):
+        at_least(1, "maxpool ", window=self.window)
+
 
 @dataclass(frozen=True)
 class Dense:
     units: int
 
+    def __post_init__(self):
+        at_least(1, "dense ", units=self.units)
+
 
 LayerSpec = Conv | Relu | MaxPool | Dense
+
+LAYER_TYPES = {"conv": Conv, "relu": Relu, "maxpool": MaxPool, "dense": Dense}
 
 # Rows per block of every inference walk (``forward``, ``forward_features`` and
 # the occlusion scan's dense head): bounds inference memory, and keeps one set of
@@ -67,42 +80,15 @@ def layer_from_config(cfg: dict) -> LayerSpec:
     if not isinstance(cfg, dict):
         raise ConfigError(f"a layer must be a JSON object, got {cfg!r}")
     kind = cfg.get("type")
-
-    def size(value, key, least=1):
-        value = as_number(value, f"{kind} {key}", integer=True)
-        if value < least:
-            raise ConfigError(f"{kind} {key} must be at least {least}, got {value}")
-        return value
-
-    def field(key, default=None, least=1):
-        if key not in cfg and default is None:
-            raise ConfigError(f"{kind} layer needs {key!r}")
-        return size(cfg.get(key, default), key, least)
-
-    if kind == "conv":
-        kernel = cfg.get("kernel")
-        if not isinstance(kernel, (list, tuple)) or len(kernel) != 2:
-            raise ConfigError(f"conv kernel must be [height, width], got {kernel!r}")
-        kh, kw = (size(v, "kernel") for v in kernel)
-        return Conv((kh, kw), field("filters"), field("padding", 0, least=0))
-    if kind == "relu":
-        return Relu()
-    if kind == "maxpool":
-        return MaxPool(field("window"))
-    if kind == "dense":
-        return Dense(field("units"))
-    raise ConfigError(f"unknown layer type {kind!r}")
+    if not isinstance(kind, str) or kind not in LAYER_TYPES:
+        raise ConfigError(f"unknown layer type {kind!r}")
+    fields = {key: value for key, value in cfg.items() if key != "type"}
+    return from_section(LAYER_TYPES[kind], fields, kind, sep=" ")
 
 
 def layer_to_config(layer: LayerSpec) -> dict:
-    if isinstance(layer, Conv):
-        return {"type": "conv", "kernel": list(layer.kernel),
-                "filters": layer.filters, "padding": layer.padding}
-    if isinstance(layer, Relu):
-        return {"type": "relu"}
-    if isinstance(layer, MaxPool):
-        return {"type": "maxpool", "window": layer.window}
-    return {"type": "dense", "units": layer.units}
+    kind = next(kind for kind, cls in LAYER_TYPES.items() if isinstance(layer, cls))
+    return {"type": kind, **asdict(layer)}
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Layer kernels (plain float64 arrays) and their recorded-graph wrappers.
 
-Every kernel has a ``*_value`` function for inference and a graph op
-returning a :class:`~otlab.engine.autodiff.Node` for training. Conv,
-max-pool and dense compute both from one private forward each, so inference
-and training are bit-identical by construction. The pool forward folds
-``np.maximum`` over strided window cells; its VJP picks the first cell equal
-to the maximum, as ``argmax`` would, and writes ``g`` there through a
+Conv, max-pool, dense and softmax-CE each have a ``*_value`` function for
+inference and a graph op returning a :class:`~otlab.engine.autodiff.Node`
+for training; L2 normalisation runs only in training and has only the graph
+op. Conv, max-pool and dense compute both from one private forward each, so
+inference and training are bit-identical by construction. The pool forward
+folds ``np.maximum`` over strided window cells; its VJP picks the first cell
+equal to the maximum, as ``argmax`` would, and writes ``g`` there through a
 bitwise AND with the hit mask (same bytes as ``np.where(hit, g, 0.0)``,
--0.0 included, in less time). :func:`~otlab.engine.autodiff.relu`
-keeps a mask form for its VJP; it writes -0.0 where ``np.maximum`` gives
-0.0, which compares equal. Graph ops never call the public ``*_value``
-names, so a probe on either entry point counts each kernel call once.
+-0.0 included, in less time). :func:`~otlab.engine.autodiff.relu` computes
+``np.maximum(x, 0.0)`` as inference does and keeps a mask for its VJP.
+Graph ops never call the public ``*_value`` names, so a probe on either
+entry point counts each kernel call once.
 
 Conv is one GEMM per direction over the (N·Ho·Wo, kh·kw·C) patch matrix.
 The memory order around the GEMMs is chosen for speed: ``_im2col`` picks
@@ -209,18 +210,11 @@ def softmax_cross_entropy(logits, labels) -> tuple[Node, np.ndarray]:
 
 # ---------------------------------------------------------- l2 normalize
 
-def l2_normalize_value(x: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
-        bad = int(np.nonzero(norms[:, 0] == 0.0)[0][0])
-        raise ValueError(f"cannot normalize zero feature vector (row {bad})")
-    return x / norms
-
-
 def l2_normalize(x) -> Node:
+    """Rows of ``x`` scaled to unit length; callers refuse all-zero rows first."""
     x = as_node(x)
-    out = l2_normalize_value(x.value)
     norms = np.sqrt((x.value * x.value).sum(axis=1, keepdims=True))
+    out = x.value / norms
 
     def vjp(g):
         # d(x/|x|) = (g - z (g.z)) / |x| with z the unit vector

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..data import Dataset, batches
 from ..errors import DivergenceError
-from ..validation import as_rng
+from ..validation import as_rng, at_least
 from . import ops
 from .model import Model, forward, trace
 from .optim import Sgd, backward
@@ -16,16 +16,14 @@ from .optim import Sgd, backward
 
 @dataclass(frozen=True)
 class Schedule:
-    steps: int
+    steps: int = 600
     lr: float = 0.05
     momentum: float = 0.9
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        at_least(0, steps=self.steps, lr=self.lr)
+        at_least(1, batch_size=self.batch_size)
 
 
 def train_classifier(model: Model, dataset: Dataset, schedule: Schedule, rng,

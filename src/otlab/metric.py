@@ -31,7 +31,7 @@ from .engine.model import Model, forward_features, trace
 from .engine.ops import l2_normalize
 from .engine.optim import Sgd
 from .errors import DivergenceError, ProtocolError, StateError
-from .validation import as_rng
+from .validation import as_rng, at_least
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,15 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class FinetuneSchedule:
-    steps: int
+    steps: int = 200
     lr: float = 0.01
     momentum: float = 0.9
     pool_classes: int = 8
     pool_per_class: int = 8
+
+    def __post_init__(self):
+        at_least(0, steps=self.steps, lr=self.lr)
+        at_least(1, pool_classes=self.pool_classes, pool_per_class=self.pool_per_class)
 
 
 class TripletBatch:

@@ -47,7 +47,7 @@ from .atomic import atomic_write
 from .data import LabeledImage, save_pgm
 from .engine.model import Conv, Model, Relu, apply_layer, forward, spatial_depth, walk_blocks
 from .errors import FormatError, ProtocolError
-from .validation import as_number, as_rng, check_outputs
+from .validation import as_rng, at_least, check_outputs, from_section
 
 NOISE_MODELS = ("none", "salt_pepper", "speckle", "gaussian", "random")
 
@@ -84,26 +84,7 @@ class OccluderSpec:
     @classmethod
     def from_config(cls, cfg) -> "OccluderSpec":
         """A spec from its JSON-style dict; a spec is returned unchanged."""
-        if isinstance(cfg, cls):
-            return cfg
-        if not isinstance(cfg, dict):
-            raise ValueError(f"an occluder must be a spec or an object, got {cfg!r}")
-        known = {"height", "width", "intensity_range", "noise_model", "noise_level"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown occluder fields: {sorted(unknown)}")
-        cfg = dict(cfg)
-        for key in ("height", "width"):
-            if key in cfg:
-                cfg[key] = as_number(cfg[key], f"occluder.{key}", integer=True)
-        if "intensity_range" in cfg:
-            cfg["intensity_range"] = tuple(float(v) for v in cfg["intensity_range"])
-        return cls(**cfg)
-
-    def to_config(self) -> dict:
-        return {"height": self.height, "width": self.width,
-                "intensity_range": list(self.intensity_range),
-                "noise_model": self.noise_model, "noise_level": self.noise_level}
+        return cfg if isinstance(cfg, cls) else from_section(cls, cfg, "occluder")
 
 
 def default_occluders(image_size: int, **overrides) -> dict[str, OccluderSpec]:
@@ -302,8 +283,7 @@ def binary_occlusion_map(model: Model, image: LabeledImage, spec: OccluderSpec,
     the map reflects position sensitivity, not per-position noise draws.
     The image must be classified correctly before occlusion.
     """
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    at_least(1, stride=stride)
     pixels = image.pixels
     unoccluded = np.argmax(forward(model, pixels[np.newaxis, :, :, np.newaxis]), axis=1)[0]
     if unoccluded != image.label:
@@ -342,8 +322,9 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     correctly-classified images are used, in input order. Patches are
     pre-sampled sequentially so results do not depend on ``workers``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    at_least(1, workers=workers, stride=stride)
+    if limit is not None:
+        at_least(1, limit=limit)
     if not images:
         raise ProtocolError("no images supplied for the occlusion map")
     rng = as_rng(rng)

@@ -2,12 +2,16 @@
 
 All public entry points funnel array inputs through these checks so that
 shape/dtype/range mistakes fail loudly at the boundary instead of deep
-inside a training loop.
+inside a training loop. :func:`from_section` reads every JSON config object
+into its dataclass by that class's own fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
+import typing
 
 import numpy as np
 
@@ -38,6 +42,67 @@ def as_number(value, name: str, *, integer: bool = False) -> int | float:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     return float(value)
+
+
+def _instance(kind, what: str):
+    def read(value, name):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
+
+
+_SCALARS = {int: lambda value, name: as_number(value, name, integer=True), float: as_number,
+            bool: _instance(bool, "true or false"), str: _instance(str, "a string")}
+
+
+def _tuple(value, name: str, kinds: tuple) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != len(kinds):
+        raise ConfigError(f"{name} must be a list of {len(kinds)} values, got {value!r}")
+    return tuple(_SCALARS[kind](v, name) for kind, v in zip(kinds, value))
+
+
+def field_reader(hint):
+    """``read(value, name)`` for a field annotated ``hint``: int, float, bool, str,
+    a fixed-length tuple of those, or either ``| None``; None for anything else."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType and len(args) == 2 and type(None) in args:
+        inner = field_reader(next(a for a in args if a is not type(None)))
+        return inner and (lambda value, name: None if value is None else inner(value, name))
+    if typing.get_origin(hint) is tuple and args and all(a in _SCALARS for a in args):
+        return lambda value, name: _tuple(value, name, args)
+    return _SCALARS.get(hint)
+
+
+def from_section(cls, section, where: str, *, sep: str = "."):
+    """Dataclass ``cls`` from the JSON object ``section``: each key must be a
+    field and is read by its annotation, and an absent field takes its default.
+    Malformed input and a ValueError from ``cls``'s own checks raise
+    ConfigError naming ``where`` (a field as ``where + sep + key``)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f'"{where}" must be a JSON object, got {section!r}')
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    unknown = set(section) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in section:
+            values[f.name] = field_reader(hints[f.name])(section[f.name], f"{where}{sep}{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{where} needs {f.name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def at_least(least, prefix: str = "", **values) -> None:
+    """Raise ValueError naming the first of ``values`` that is below ``least``."""
+    for key, value in values.items():
+        if value < least:
+            raise ValueError(f"{prefix}{key} must be at least {least}, got {value}")
 
 
 def check_finite(x: np.ndarray, name: str = "array") -> np.ndarray:

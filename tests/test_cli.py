@@ -169,11 +169,44 @@ def test_missing_seed_exits_2(tmp_path, runner):
     ({"loss": {"online": "false"}}, "loss", "loss.online must be true or false"),
     ({"loss": {"max_triplets": 2.5}}, "loss", "loss.max_triplets must be an integer"),
     ({"eval": {"k": 1e400}}, "eval_k", "eval.k must be finite"),
+    ({"dataset": {"synthetic": {"cue_region": [2.7, 3, 4, 4]}}}, "dataset_splits",
+     "dataset.synthetic.cue_region must be an integer, got 2.7"),
+    ({"occluder": {"height": 3, "width": 3, "intensity_range": ["0.5", 1]}}, "occluder",
+     "occluder.intensity_range must be a number, got '0.5'"),
+    ({"loss": {"mode": "batch", "alhpa": 0.5}}, "loss", "unknown loss fields: ['alhpa']"),
+    ({"occluder": {"height": 3, "width": 3, "size": 3}}, "occluder",
+     "unknown occluder fields: ['size']"),
 ])
 def test_config_scalars_are_type_checked(tmp_path, overrides, accessor, message):
     cfg = ExperimentConfig.load(write_config(tmp_path, **overrides))
     with pytest.raises(ConfigError, match=re.escape(message)):
         getattr(cfg, accessor)()
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("train-classifier", {"schedule": {"step": 2}}, "unknown schedule fields: ['step']"),
+    ("train-classifier", {"schedule": {"lr": -1}},
+     "invalid schedule: lr must be at least 0, got -1.0"),
+    ("finetune-triplet", {"finetune": {"step": 2}}, "unknown finetune fields: ['step']"),
+    ("finetune-triplet", {"finetune": {"lr": -0.1}},
+     "invalid finetune: lr must be at least 0, got -0.1"),
+    ("finetune-triplet", {"finetune": {"pool_classes": 0}},
+     "pool_classes must be at least 1, got 0"),
+    ("finetune-triplet", {"finetune": {"pool_per_class": 0}},
+     "pool_per_class must be at least 1, got 0"),
+    ("train-classifier", {"model": {"input": [10, 10, 1], "layers": [{"type": "dense"}]}},
+     "dense needs 'units'"),
+])
+def test_bad_config_sections_exit_2_before_any_output(tmp_path, runner, command,
+                                                         overrides, message):
+    out = tmp_path / "out"
+    args = [command, "--config", str(write_config(tmp_path, **overrides)), "--out", str(out)]
+    if command == "finetune-triplet":
+        args.append(str(_dense_net_checkpoint(tmp_path, np.full((100, 3), 0.01), np.zeros(3))))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
 
 
 def test_integral_float_config_values_are_accepted(tmp_path):

@@ -389,6 +389,15 @@ def test_dataset_map_rejects_workers_below_one(rng, workers):
         dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng, workers=workers)
 
 
+@pytest.mark.parametrize("option, value", [("limit", 0), ("limit", -1),
+                                           ("stride", 0), ("stride", -1)])
+def test_dataset_map_rejects_limit_or_stride_below_one(rng, option, value):
+    model = _constant_model((4, 4), always=0)
+    images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id=str(k)) for k in range(6)]
+    with pytest.raises(ValueError, match=f"{option} must be at least 1, got {value}"):
+        dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng, **{option: value})
+
+
 def test_dataset_map_worker_count_does_not_change_result(rng):
     spec8 = SyntheticSpec(class_count=2, samples_per_class=4, image_size=6, seed=0)
     ds = generate_synthetic(spec8)
