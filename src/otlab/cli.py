@@ -100,6 +100,12 @@ def _load_model(path) -> ckpt.Checkpoint:
     return ckpt.read_checkpoint(p)
 
 
+def _occluder(cfg: ExperimentConfig) -> occlusion.OccluderSpec:
+    if cfg.occluder is None:
+        raise ConfigError('config needs an "occluder" object for this command')
+    return cfg.occluder
+
+
 def _save_training(out: Path, model, rng, cfg: ExperimentConfig, meta: dict,
                    log_columns: list[str], rows) -> None:
     """A training stage's checkpoint, tagged with ``meta`` and the seed, and its train_log.csv."""
@@ -119,7 +125,7 @@ def cmd_train_classifier(config_path, seed, out_dir):
     """Train the classification model from scratch."""
     cfg = ExperimentConfig.load(config_path, seed)
     _full, train, _val = cfg.dataset_splits()
-    schedule = cfg.schedule()
+    schedule = cfg.schedule
     rng = as_rng(cfg.seed)
     model = init_model(cfg.model_config(train), rng)
 
@@ -141,16 +147,14 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
     cfg = ExperimentConfig.load(config_path, seed)
     _full, _train, val = cfg.dataset_splits()
-    spec = cfg.occluder()
-    stride = cfg.stride()
-    limit = cfg.map_images()
+    spec = _occluder(cfg)
     loaded = _load_model(checkpoint_path)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = as_rng(cfg.seed)
     occ_map, info = occlusion.dataset_occlusion_map(
-        loaded.model, val.images, spec, rng, stride=stride, limit=limit,
+        loaded.model, val.images, spec, rng, stride=cfg.stride, limit=cfg.map_images,
         workers=workers)
     mean_acc, std = evaluation.map_accuracy_stats(occ_map)
     occlusion.save_map_csv(occ_map, out / "map.csv")
@@ -161,7 +165,7 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
         "sample_count": occ_map.sample_count,
         "excluded": info["excluded"],
         "occluder": [spec.height, spec.width],
-        "stride": stride,
+        "stride": cfg.stride,
     })
     click.echo(f"map over {occ_map.sample_count} images "
                f"({info['excluded']} excluded); "
@@ -177,10 +181,8 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
     cfg = ExperimentConfig.load(config_path, seed)
     _full, train, _val = cfg.dataset_splits()
-    schedule = cfg.schedule()
-    spec = cfg.occluder()
-    mode = cfg.placement_mode()
-    fraction = cfg.occluded_fraction()
+    schedule, mode = cfg.schedule, cfg.placement_mode
+    spec = _occluder(cfg)
     loaded = _load_model(base_checkpoint)
     h, w = train.image_shape()
 
@@ -189,7 +191,7 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
         if occ_map.grid.shape != (h, w):
             raise ConfigError(f"map shape {occ_map.grid.shape} does not match "
                               f"image shape {(h, w)}")
-        placement = occlusion.placement_distribution(occ_map, cfg.temperature())
+        placement = occlusion.placement_distribution(occ_map, cfg.temperature)
     else:
         placement = "random"
 
@@ -198,7 +200,7 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     rng = as_rng(cfg.seed)
     model = loaded.model.copy()
     rows = train_classifier(model, train, schedule, rng,
-                            augment=occlusion.augmenter(fraction, placement, spec))
+                            augment=occlusion.augmenter(cfg.occluded_fraction, placement, spec))
     _save_training(out, model, rng, cfg, {"stage": f"augmented-{mode}", "steps": schedule.steps,
                                           "loss_mode": "softmax_ce"}, CLASSIFIER_LOG, rows)
     click.echo(f"augmented fine-tuning done ({mode} placement, {schedule.steps} steps)")
@@ -211,8 +213,7 @@ def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
     cfg = ExperimentConfig.load(config_path, seed)
     _full, train, _val = cfg.dataset_splits()
-    loss_cfg = cfg.loss()
-    schedule = cfg.finetune_schedule()
+    loss_cfg, schedule = cfg.loss, cfg.finetune
     loaded = _load_model(base_checkpoint)
     loaded.model.bottleneck_dim()  # must expose a bottleneck layer
 
@@ -239,7 +240,7 @@ def cmd_evaluate(config_path, seed, out_dir, checkpoint_path, pairs_path):
     """Score verification pairs; write ROC and k-fold accuracy reports."""
     cfg = ExperimentConfig.load(config_path, seed)
     full, _train, _val = cfg.dataset_splits()
-    k = cfg.eval_k()
+    k = cfg.eval.k
     source = cfg.eval_pairs_path(pairs_path)
     loaded = _load_model(checkpoint_path)
     pairs = evaluation.load_pairs_csv(source)

@@ -4,52 +4,101 @@ Dataset identity (synthetic spec seed, split seed) is separate from the
 run seed passed via ``--seed``/``"seed"``: stages of one experiment share
 the same dataset while varying training randomness.
 
-Object sections are read into their dataclasses, which own each key's type,
-default and range, by :func:`~otlab.validation.from_section`; a key that the
-dataclass does not declare is refused.
+The document is read into :class:`ExperimentConfig`, whose fields are its
+top-level keys, by one :func:`~otlab.validation.from_section` call; each
+object in it is read into its own dataclass, which owns each key's type,
+default and range. A key that no dataclass declares is refused at every
+level, so a malformed config fails at load, before any stage runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_directory, split
 from .engine.model import default_architecture
 from .engine.train import Schedule
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .metric import FinetuneSchedule, LossConfig
 from .occlusion import OccluderSpec
-from .validation import as_number, from_section
+from .validation import at_least, from_section
 
 
-def _int(section: dict, key: str, default, where: str = "") -> int:
-    """``section[key]`` (or ``default``) as an int; ConfigError names the field."""
-    return as_number(section.get(key, default), where + key, integer=True)
+def _input_file(path, name: str) -> Path:
+    """``path`` if it names an existing file; ConfigError names ``name``."""
+    if not Path(path).is_file():
+        raise ConfigError(f"{name} {path} is not a file")
+    return Path(path)
 
 
-def _float(section: dict, key: str, default, where: str = "") -> float:
-    """``section[key]`` (or ``default``) as a finite float; ConfigError names the field."""
-    return as_number(section.get(key, default), where + key)
+@dataclass(frozen=True)
+class DatasetSection:
+    """``dataset``: a synthetic spec or a ``<root>/<class>/<image>.pgm`` tree.
+    ``split_seed`` defaults to the synthetic seed, or 0 for a directory."""
+
+    synthetic: SyntheticSpec | None = None
+    path: Path | None = None
+    split_seed: int | None = None
+
+    def __post_init__(self):
+        if (self.synthetic is None) == (self.path is None):
+            raise ValueError('needs exactly one of "synthetic" and "path"')
+        if self.split_seed is not None:
+            at_least(0, split_seed=self.split_seed)
 
 
-def _input_file(value, name: str) -> Path:
-    """``value`` as the path of an existing file; ConfigError names ``name``."""
-    if not isinstance(value, (str, Path)):
-        raise ConfigError(f"{name} must be a file path, got {value!r}")
-    if not Path(value).is_file():
-        raise ConfigError(f"{name} {value} is not a file")
-    return Path(value)
+@dataclass(frozen=True)
+class EvalSection:
+    """``eval``: folds of the k-fold accuracy and the pairs CSV."""
+
+    k: int = 10
+    pairs: Path | None = None
+
+    def __post_init__(self):
+        at_least(2, k=self.k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
-    seed: int
+    dataset: DatasetSection
+    seed: int | None = None
+    val_fraction: float = 0.1
+    model: dict | None = None       # None: the default architecture
+    bottleneck: int = 32
+    schedule: Schedule = field(default_factory=Schedule)
+    occluder: OccluderSpec | None = None
+    temperature: float = 0.4
+    stride: int = 1
+    map_images: int = 1000
+    placement_mode: str = "P"
+    occluded_fraction: float = 0.5
+    map: Path | None = None
+    loss: LossConfig = field(default_factory=LossConfig)
+    finetune: FinetuneSchedule = field(default_factory=FinetuneSchedule)
+    eval: EvalSection = field(default_factory=EvalSection)
+
+    def __post_init__(self):
+        if self.seed is None:
+            raise ValueError('a seed is required (config "seed" or --seed)')
+        at_least(0, seed=self.seed)
+        at_least(1, bottleneck=self.bottleneck, stride=self.stride, map_images=self.map_images)
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError("val_fraction must lie strictly between 0 and 1")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        if self.placement_mode not in ("P", "R"):
+            raise ValueError('placement_mode must be "P" (map-guided) or "R" (random)')
+        if not 0.0 < self.occluded_fraction <= 1.0:
+            raise ValueError("occluded_fraction must lie in (0, 1]")
+        if self.model is not None and not ("input" in self.model
+                                           and isinstance(self.model.get("layers"), list)):
+            raise ValueError('model must contain "input" and a "layers" list')
 
     @classmethod
     def load(cls, path, seed_override: int | None = None) -> "ExperimentConfig":
+        """The config at ``path``; ``seed_override`` (``--seed``) replaces its seed."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
@@ -60,119 +109,39 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        seed = seed_override if seed_override is not None else raw.get("seed")
-        if seed is None:
-            raise ConfigError("a seed is required (config \"seed\" or --seed)")
-        seed = as_number(seed, "seed", integer=True)
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        return cls(raw=raw, seed=seed)
-
-    def _section(self, key: str) -> dict:
-        section = self.raw.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f'"{key}" must be a JSON object, got {section!r}')
-        return section
-
-    # ------------------------------------------------------------ pieces
+        if seed_override is not None:
+            raw["seed"] = seed_override
+        return from_section(cls, raw, "")
 
     def dataset_splits(self) -> tuple[Dataset, Dataset, Dataset]:
         """(full, train, val); deterministic from the dataset spec alone."""
-        section = self.raw.get("dataset")
-        if not isinstance(section, dict):
-            raise ConfigError('config needs a "dataset" object '
-                              '({"synthetic": {...}} or {"path": "..."})')
-        val_fraction = _float(self.raw, "val_fraction", 0.1)
-        if "synthetic" in section:
-            spec = SyntheticSpec.from_config(section["synthetic"])
-            try:
-                full = generate_synthetic(spec)
-            except ValueError as exc:
-                raise ConfigError(f"invalid synthetic dataset spec: {exc}") from exc
-            split_seed = _int(section, "split_seed", spec.seed, "dataset.")
-        elif "path" in section:
-            root = Path(section["path"])
-            if not root.is_dir():
-                raise ConfigError(f"dataset path {root} is not a directory")
-            try:
-                full = load_directory(root)
-            except FormatError as exc:
-                raise ConfigError(str(exc)) from exc
-            split_seed = _int(section, "split_seed", 0, "dataset.")
+        section = self.dataset
+        if section.synthetic is not None:
+            full, split_seed = generate_synthetic(section.synthetic), section.synthetic.seed
         else:
-            raise ConfigError('dataset must contain "synthetic" or "path"')
+            if not section.path.is_dir():
+                raise ConfigError(f"dataset path {section.path} is not a directory")
+            full, split_seed = load_directory(section.path), 0
+        if section.split_seed is not None:
+            split_seed = section.split_seed
         try:
-            train, val = split(full, val_fraction, split_seed)
+            train, val = split(full, self.val_fraction, split_seed)
         except ValueError as exc:
             raise ConfigError(f"cannot split dataset: {exc}") from exc
         return full, train, val
 
     def model_config(self, dataset: Dataset) -> dict:
-        if "model" in self.raw and self.raw["model"] is not None:
-            cfg = self.raw["model"]
-            if not isinstance(cfg, dict) or "input" not in cfg or "layers" not in cfg:
-                raise ConfigError('"model" must contain "input" and "layers"')
-            return cfg
+        if self.model is not None:
+            return self.model
         h, w = dataset.image_shape()
         if h != w:
             raise ConfigError("default architecture expects square images; "
                               'provide an explicit "model" section')
-        return default_architecture(h, dataset.class_count,
-                                    bottleneck=_int(self.raw, "bottleneck", 32))
-
-    def schedule(self) -> Schedule:
-        return from_section(Schedule, self.raw.get("schedule", {}), "schedule")
-
-    def occluder(self) -> OccluderSpec:
-        if self.raw.get("occluder") is None:
-            raise ConfigError('config needs an "occluder" object for this command')
-        return from_section(OccluderSpec, self.raw["occluder"], "occluder")
-
-    def temperature(self) -> float:
-        t = _float(self.raw, "temperature", 0.4)
-        if t <= 0:
-            raise ConfigError("temperature must be positive")
-        return t
-
-    def stride(self) -> int:
-        s = _int(self.raw, "stride", 1)
-        if s < 1:
-            raise ConfigError("stride must be at least 1")
-        return s
-
-    def map_images(self) -> int:
-        n = _int(self.raw, "map_images", 1000)
-        if n < 1:
-            raise ConfigError("map_images must be at least 1")
-        return n
-
-    def placement_mode(self) -> str:
-        mode = self.raw.get("placement_mode", "P")
-        if mode not in ("P", "R"):
-            raise ConfigError('placement_mode must be "P" (map-guided) or "R" (random)')
-        return mode
-
-    def occluded_fraction(self) -> float:
-        f = _float(self.raw, "occluded_fraction", 0.5)
-        if not 0.0 < f <= 1.0:
-            raise ConfigError("occluded_fraction must lie in (0, 1]")
-        return f
-
-    def loss(self) -> LossConfig:
-        return from_section(LossConfig, self.raw.get("loss", {}), "loss")
-
-    def finetune_schedule(self) -> FinetuneSchedule:
-        return from_section(FinetuneSchedule, self.raw.get("finetune", {}), "finetune")
-
-    def eval_k(self) -> int:
-        k = _int(self._section("eval"), "k", 10, "eval.")
-        if k < 2:
-            raise ConfigError("eval.k must be at least 2")
-        return k
+        return default_architecture(h, dataset.class_count, bottleneck=self.bottleneck)
 
     def map_path(self, override=None) -> Path:
         """The map CSV of placement mode P: ``override`` (``--map``), else config "map"."""
-        source = override if override is not None else self.raw.get("map")
+        source = override if override is not None else self.map
         if source is None:
             raise ConfigError('placement mode P needs --map (or config "map")')
         return _input_file(source, "map")
@@ -180,7 +149,6 @@ class ExperimentConfig:
     def eval_pairs_path(self, override=None) -> Path:
         if override is not None:
             return _input_file(override, "pairs")
-        section = self._section("eval")
-        if "pairs" not in section:
+        if self.eval.pairs is None:
             raise ConfigError('config needs "eval.pairs" (or pass --pairs)')
-        return _input_file(section["pairs"], "eval.pairs")
+        return _input_file(self.eval.pairs, "eval.pairs")

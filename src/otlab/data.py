@@ -19,7 +19,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import FormatError, StateError
-from .validation import as_rng, check_rect, check_single_image, from_section
+from .validation import as_rng, at_least, check_rect, check_single_image, from_section
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ def load_pgm(path) -> np.ndarray:
         width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image size {width}x{height} is not positive")
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval} (only 255)")
     payload = raw[pos:]
@@ -112,10 +114,15 @@ def load_directory(root) -> Dataset:
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise FormatError(f"{root}: no class directories found")
-    images = []
+    images, first = [], None
     for label, class_dir in enumerate(class_dirs):
         for pgm in sorted(class_dir.glob("*.pgm")):
-            images.append(LabeledImage(pixels=load_pgm(pgm), label=label,
+            pixels = load_pgm(pgm)
+            first = first or (pgm, pixels.shape)
+            if pixels.shape != first[1]:
+                raise FormatError(f"{pgm}: image shape {pixels.shape} differs from "
+                                  f"{first[0]}'s {first[1]}")
+            images.append(LabeledImage(pixels=pixels, label=label,
                                        id=f"{class_dir.name}/{pgm.stem}"))
     return Dataset(images=images, class_count=len(class_dirs))
 
@@ -132,11 +139,19 @@ class SyntheticSpec:
     background_noise_sigma: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        at_least(1, class_count=self.class_count, image_size=self.image_size)
+        at_least(2, samples_per_class=self.samples_per_class)
+        at_least(0, background_noise_sigma=self.background_noise_sigma, seed=self.seed)
+        if not 0.0 <= self.cue_strength <= 1.0:
+            raise ValueError("cue_strength must lie in [0, 1]")
+        if self.cue_region is not None:
+            check_rect(self.cue_region, (self.image_size, self.image_size), name="cue_region")
+
     def resolved_cue_region(self) -> tuple[int, int, int, int]:
         """Default cue: a centered block spanning ~3/8 of each dimension."""
         if self.cue_region is not None:
-            return check_rect(self.cue_region, (self.image_size, self.image_size),
-                              name="cue_region")
+            return self.cue_region
         side = max(int(round(self.image_size * 0.375)), 1)
         top = (self.image_size - side) // 2
         return (top, top, side, side)
@@ -154,12 +169,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     to [0, 1]. Draw order (background, all class cues, then per-image noise)
     is fixed so determinism holds even when the cue is unused.
     """
-    if spec.class_count < 1 or spec.samples_per_class < 2:
-        raise ValueError("need at least one class and two samples per class")
-    if not 0.0 <= spec.cue_strength <= 1.0:
-        raise ValueError("cue_strength must lie in [0, 1]")
-    if spec.background_noise_sigma < 0:
-        raise ValueError("background_noise_sigma must be nonnegative")
     top, left, ch, cw = spec.resolved_cue_region()
 
     rng = as_rng(spec.seed)

@@ -71,8 +71,7 @@ class OccluderSpec:
     noise_level: float | None = None
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("occluder must be at least 1x1")
+        at_least(1, height=self.height, width=self.width)
         lo, hi = self.intensity_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError(f"intensity_range must satisfy 0 <= lo <= hi <= 1, got {self.intensity_range}")

@@ -2,16 +2,19 @@
 
 All public entry points funnel array inputs through these checks so that
 shape/dtype/range mistakes fail loudly at the boundary instead of deep
-inside a training loop. :func:`from_section` reads every JSON config object
-into its dataclass by that class's own fields.
+inside a training loop. :func:`from_section` reads the JSON config, and each
+object in it, into its dataclass by that class's own fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -62,40 +65,58 @@ def _tuple(value, name: str, kinds: tuple) -> tuple:
     return tuple(_SCALARS[kind](v, name) for kind, v in zip(kinds, value))
 
 
+_LEAVES = {**_SCALARS, dict: _instance(dict, "a JSON object"),
+           Path: lambda value, name: Path(_instance(str, "a file path")(value, name))}
+
+
 def field_reader(hint):
     """``read(value, name)`` for a field annotated ``hint``: int, float, bool, str,
-    a fixed-length tuple of those, or either ``| None``; None for anything else."""
+    ``dict`` (any JSON object), ``Path`` (a string), a dataclass (read by
+    :func:`from_section`), a fixed-length tuple of scalars, or any of these
+    ``| None``; None for anything else."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is types.UnionType and len(args) == 2 and type(None) in args:
         inner = field_reader(next(a for a in args if a is not type(None)))
         return inner and (lambda value, name: None if value is None else inner(value, name))
     if typing.get_origin(hint) is tuple and args and all(a in _SCALARS for a in args):
         return lambda value, name: _tuple(value, name, args)
-    return _SCALARS.get(hint)
+    if dataclasses.is_dataclass(hint) and isinstance(hint, type):
+        return lambda value, name: from_section(hint, value, name)
+    return _LEAVES.get(hint)
+
+
+@functools.cache
+def _readers(cls) -> tuple:
+    """(field, reader) for each init field of dataclass ``cls``; a string annotation
+    is evaluated in ``cls``'s module, as ``typing.get_type_hints`` would, but faster."""
+    names = vars(sys.modules[cls.__module__])
+    return tuple((f, field_reader(eval(f.type, names) if isinstance(f.type, str) else f.type))
+                 for f in dataclasses.fields(cls) if f.init)
 
 
 def from_section(cls, section, where: str, *, sep: str = "."):
     """Dataclass ``cls`` from the JSON object ``section``: each key must be a
     field and is read by its annotation, and an absent field takes its default.
     Malformed input and a ValueError from ``cls``'s own checks raise
-    ConfigError naming ``where`` (a field as ``where + sep + key``)."""
+    ConfigError naming ``where`` (a field as ``where + sep + key``). ``where``
+    "" is the whole config: its fields are named by their bare keys."""
+    label = where or "config"
     if not isinstance(section, dict):
-        raise ConfigError(f'"{where}" must be a JSON object, got {section!r}')
-    fields = [f for f in dataclasses.fields(cls) if f.init]
-    unknown = set(section) - {f.name for f in fields}
+        raise ConfigError(f'"{label}" must be a JSON object, got {section!r}')
+    readers = _readers(cls)
+    unknown = set(section) - {f.name for f, _ in readers}
     if unknown:
-        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
+        raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
     values = {}
-    for f in fields:
+    for f, read in readers:
         if f.name in section:
-            values[f.name] = field_reader(hints[f.name])(section[f.name], f"{where}{sep}{f.name}")
+            values[f.name] = read(section[f.name], f"{where}{sep}{f.name}" if where else f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ConfigError(f"{where} needs {f.name!r}")
+            raise ConfigError(f"{label} needs {f.name!r}")
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        raise ConfigError(f"invalid {label}: {exc}") from exc
 
 
 def at_least(least, prefix: str = "", **values) -> None:

@@ -1,10 +1,16 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from otlab.atomic import atomic_write
 from otlab.cli import _write_csv, main
@@ -157,7 +163,7 @@ def test_missing_seed_exits_2(tmp_path, runner):
     assert "seed" in result.output
 
 
-@pytest.mark.parametrize("overrides, accessor, message", [
+@pytest.mark.parametrize("overrides, case, message", [
     ({"stride": "abc"}, "stride", "stride must be a number, got 'abc'"),
     ({"stride": None}, "stride", "stride must be a number, got None"),
     ({"stride": 1.5}, "stride", "stride must be an integer, got 1.5"),
@@ -177,10 +183,11 @@ def test_missing_seed_exits_2(tmp_path, runner):
     ({"occluder": {"height": 3, "width": 3, "size": 3}}, "occluder",
      "unknown occluder fields: ['size']"),
 ])
-def test_config_scalars_are_type_checked(tmp_path, overrides, accessor, message):
-    cfg = ExperimentConfig.load(write_config(tmp_path, **overrides))
+def test_config_scalars_are_type_checked(tmp_path, overrides, case, message):
+    # ``case`` only names the test: the accessor that once read the key, before
+    # the whole config was read at load
     with pytest.raises(ConfigError, match=re.escape(message)):
-        getattr(cfg, accessor)()
+        ExperimentConfig.load(write_config(tmp_path, **overrides))
 
 
 @pytest.mark.parametrize("command, overrides, message", [
@@ -196,6 +203,8 @@ def test_config_scalars_are_type_checked(tmp_path, overrides, accessor, message)
      "pool_per_class must be at least 1, got 0"),
     ("train-classifier", {"model": {"input": [10, 10, 1], "layers": [{"type": "dense"}]}},
      "dense needs 'units'"),
+    ("train-classifier", {"model": {"input": [10, 10, 1], "layers": 5}},
+     'model must contain "input" and a "layers" list'),
 ])
 def test_bad_config_sections_exit_2_before_any_output(tmp_path, runner, command,
                                                          overrides, message):
@@ -209,9 +218,133 @@ def test_bad_config_sections_exit_2_before_any_output(tmp_path, runner, command,
     assert not out.exists()
 
 
+# each --config command, with the positional arguments it needs
+COMMANDS = {"train-classifier": [], "occlusion-map": ["m.otl"], "train-augmented": ["m.otl"],
+            "finetune-triplet": ["m.otl"], "evaluate": ["m.otl"]}
+
+
+def _fails_at_load(runner, tmp_path, doc, needle):
+    """Every --config command exits 2 on config ``doc``, naming ``needle``, with no --out."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for command, extra in COMMANDS.items():
+        result = runner.invoke(main, [command, "--config", str(path), "--out", str(out),
+                                      *(str(tmp_path / arg) for arg in extra)])
+        assert result.exit_code == 2, (command, doc, result.output)
+        assert needle in result.output, (command, result.output)
+        assert not out.exists()
+
+
+SYNTHETIC = base_config()["dataset"]["synthetic"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"schedul": {"steps": 2}}, "unknown config fields: ['schedul']"),
+    ({"eval": {"kk": 3}}, "unknown eval fields: ['kk']"),
+    ({"dataset": {"synthetic": SYNTHETIC, "split_sed": 3}},
+     "unknown dataset fields: ['split_sed']"),
+    ({"dataset": {"synthetic": SYNTHETIC, "path": "data"}},
+     'invalid dataset: needs exactly one of "synthetic" and "path"'),
+    ({"dataset": {"path": 5}}, "dataset.path must be a file path, got 5"),
+    ({"dataset": {"synthetic": dict(SYNTHETIC, image_size=-4)}},
+     "invalid dataset.synthetic: image_size must be at least 1, got -4"),
+    ({"dataset": {"synthetic": SYNTHETIC, "split_seed": -1}},
+     "invalid dataset: split_seed must be at least 0, got -1"),
+])
+def test_config_errors_fail_every_command_before_any_output(tmp_path, runner, overrides,
+                                                            message):
+    _fails_at_load(runner, tmp_path, base_config(**overrides), message)
+
+
+def _config_fields(cls, prefix=()):
+    """(key path, annotation) of every field of ``cls`` and of the sections it nests."""
+    for name, hint in typing.get_type_hints(cls).items():
+        yield (*prefix, name), hint
+        for inner in (hint, *typing.get_args(hint)):
+            if dataclasses.is_dataclass(inner):
+                yield from _config_fields(inner, (*prefix, name))
+
+
+FIELDS = dict(_config_fields(ExperimentConfig))
+SECTIONS = [()] + [path for path, hint in FIELDS.items()
+                   if any(dataclasses.is_dataclass(a) for a in (hint, *typing.get_args(hint)))]
+# one out-of-range value per field that has a range, on top of base_config
+OUT_OF_RANGE = {
+    "seed": -1, "val_fraction": 1.0, "bottleneck": 0, "temperature": 0.0, "stride": 0,
+    "map_images": 0, "placement_mode": "Q", "occluded_fraction": 0.0,
+    "dataset.split_seed": -1, "dataset.synthetic.class_count": 0,
+    "dataset.synthetic.samples_per_class": 1, "dataset.synthetic.image_size": 0,
+    "dataset.synthetic.cue_region": [8, 8, 4, 4], "dataset.synthetic.cue_strength": 1.5,
+    "dataset.synthetic.background_noise_sigma": -0.1, "dataset.synthetic.seed": -1,
+    "schedule.steps": -1, "schedule.lr": -0.5, "schedule.batch_size": 0,
+    "occluder.height": 0, "occluder.width": 0, "occluder.intensity_range": [0.9, 0.1],
+    "occluder.noise_model": "fog", "occluder.noise_level": -1.0,
+    "loss.mode": "pairs", "loss.alpha": -1.0, "loss.beta": 1.5, "loss.max_triplets": 0,
+    "finetune.steps": -1, "finetune.lr": -0.5, "finetune.pool_classes": 0,
+    "finetune.pool_per_class": 0, "eval.k": 1,
+}
+_ANY = st.one_of(st.text(max_size=3), st.booleans(), st.integers(-3, 3),
+                 st.floats(allow_nan=False, allow_infinity=False, width=16),
+                 st.lists(st.integers(0, 3), max_size=5),
+                 st.dictionaries(st.just("a"), st.just(1)), st.none())
+
+
+def _wrong_type(hint):
+    """Values that a field annotated ``hint`` must refuse, whatever their range."""
+    args = typing.get_args(hint)
+    optional = type(None) in args
+    hint = next((a for a in args if a is not type(None)), hint) if optional else hint
+    if hint is int:
+        ok = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v == int(v)
+    elif hint is float:
+        ok = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    elif typing.get_origin(hint) is tuple:
+        ok = lambda v: isinstance(v, list) and len(v) == len(typing.get_args(hint))
+    else:
+        kind = {bool: bool, str: str, Path: str}.get(hint, dict)   # dict and sections
+        ok = lambda v: isinstance(v, kind)
+    wrong = _ANY.filter(lambda v: not ok(v) and not (optional and v is None))
+    return wrong | st.just(float("nan")) if hint in (int, float) else wrong
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@st.composite
+def _broken_config(draw):
+    """base_config with one key broken: (doc, text the error must contain)."""
+    doc = copy.deepcopy(base_config())
+    kind = draw(st.sampled_from(["unknown", "type", "range"]))
+    if kind == "unknown":
+        section = draw(st.sampled_from(SECTIONS))
+        names = sorted({p[-1] for p in FIELDS})
+        key = draw(st.sampled_from(names).map(lambda k: k + "_").filter(lambda k: k not in names))
+        _set(doc, (*section, key), 1)
+        return doc, repr(key)
+    if kind == "type":
+        path = draw(st.sampled_from(sorted(FIELDS)))
+        _set(doc, path, draw(_wrong_type(FIELDS[path])))
+        return doc, ".".join(path)
+    dotted = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    _set(doc, tuple(dotted.split(".")), OUT_OF_RANGE[dotted])
+    return doc, dotted.split(".")[-1]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_broken_config())
+def test_a_broken_key_anywhere_fails_every_command_at_load(tmp_path, runner, case):
+    doc, needle = case
+    _fails_at_load(runner, tmp_path, doc, needle)
+
+
 def test_integral_float_config_values_are_accepted(tmp_path):
     cfg = ExperimentConfig.load(write_config(tmp_path, stride=2.0, seed=7.0))
-    assert cfg.stride() == 2 and isinstance(cfg.stride(), int) and cfg.seed == 7
+    assert cfg.stride == 2 and isinstance(cfg.stride, int) and cfg.seed == 7
 
 
 @pytest.mark.parametrize("stride, message", [("abc", "stride must be a number"),
@@ -407,6 +540,27 @@ def test_no_correct_classification_exits_4(tmp_path, runner):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("bad_name, bad_bytes, message", [
+    ("odd.pgm", b"P5\n5 5\n255\n" + bytes(25), "image shape (5, 5) differs from"),
+    ("neg.pgm", b"P5\n-1 -1\n255\nA", "image size -1x-1 is not positive"),
+])
+def test_bad_image_in_a_dataset_directory_exits_2(tmp_path, runner, bad_name, bad_bytes,
+                                                  message):
+    data_root = tmp_path / "data"
+    for cls in ("a", "b"):
+        (data_root / cls).mkdir(parents=True)
+        for k in range(3):
+            save_pgm(np.full((4, 4), 0.5), data_root / cls / f"img{k}.pgm")
+    (data_root / "b" / bad_name).write_bytes(bad_bytes)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 1, "dataset": {"path": str(data_root)}}))
+    out = tmp_path / "s1"
+    result = runner.invoke(main, ["train-classifier", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{data_root / 'b' / bad_name}: {message}" in result.output
+    assert not out.exists()
+
+
 def test_evaluate_with_one_matching_pair_exits_4(tmp_path, runner):
     # ROC and k-fold accept a single match; decidability needs two of each kind
     cfg = write_config(tmp_path, schedule={"steps": 0})
@@ -507,9 +661,10 @@ def test_report_on_empty_directory(tmp_path, runner):
     ("evaluate", {}, True, "is not a file"),
 ])
 def test_bad_input_paths_exit_2(tmp_path, runner, command, overrides, pairs_dir, message):
-    cfg = write_config(tmp_path, schedule={"steps": 0}, **overrides)
     stage1 = tmp_path / "s1"
+    cfg = write_config(tmp_path, schedule={"steps": 0})
     run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(stage1)])
+    cfg = write_config(tmp_path, schedule={"steps": 0}, **overrides)
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "s2"),
             str(stage1 / "checkpoint.otl")]
     if pairs_dir:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,12 +57,23 @@ def test_pgm_header_with_comment(tmp_path):
     (b"P5\n2 2\n65535\n", bytes(8)),          # wrong maxval
     (b"P5\n2 2\n255\n", bytes(3)),            # truncated payload
     (b"P5\n2 2\n255\n", bytes(9)),            # trailing bytes
+    (b"P5\n-1 -1\n255\n", b"A"),              # negative size
+    (b"P5\n0 5\n255\n", b""),                 # zero width
 ])
 def test_pgm_format_errors(tmp_path, header, payload):
     p = tmp_path / "bad.pgm"
     p.write_bytes(header + payload)
     with pytest.raises(FormatError):
         load_pgm(p)
+
+
+def test_load_directory_refuses_mixed_image_shapes(tmp_path):
+    for cls, side in (("a", 4), ("b", 5)):
+        (tmp_path / cls).mkdir()
+        save_pgm(np.zeros((side, side)), tmp_path / cls / "img0.pgm")
+    with pytest.raises(FormatError, match=r"b/img0.pgm: image shape \(5, 5\) differs from "
+                                          r".*a/img0.pgm's \(4, 4\)"):
+        load_directory(tmp_path)
 
 
 def test_load_directory_sorts_class_names(tmp_path):
@@ -95,9 +108,21 @@ def test_synthetic_zero_cue_strength_class_free():
 
 
 def test_synthetic_cue_region_out_of_bounds_rejected():
-    spec = SyntheticSpec(image_size=16, cue_region=(10, 10, 8, 8))
     with pytest.raises(ValueError, match="cue_region"):
-        generate_synthetic(spec)
+        SyntheticSpec(image_size=16, cue_region=(10, 10, 8, 8))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"class_count": 0}, "class_count must be at least 1, got 0"),
+    ({"image_size": -4}, "image_size must be at least 1, got -4"),
+    ({"samples_per_class": 1}, "samples_per_class must be at least 2, got 1"),
+    ({"background_noise_sigma": -0.1}, "background_noise_sigma must be at least 0, got -0.1"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"cue_strength": 1.5}, "cue_strength must lie in [0, 1]"),
+])
+def test_synthetic_spec_checks_its_ranges(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SyntheticSpec(**fields)
 
 
 def test_synthetic_pixels_stay_in_unit_interval():
