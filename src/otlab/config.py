@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_directory, split
-from .engine.model import default_architecture
+from .engine.model import default_architecture, layer_from_config, plan_layers
 from .engine.train import Schedule
 from .errors import ConfigError
 from .metric import FinetuneSchedule, LossConfig
@@ -92,9 +92,11 @@ class ExperimentConfig:
             raise ValueError('placement_mode must be "P" (map-guided) or "R" (random)')
         if not 0.0 < self.occluded_fraction <= 1.0:
             raise ValueError("occluded_fraction must lie in (0, 1]")
-        if self.model is not None and not ("input" in self.model
-                                           and isinstance(self.model.get("layers"), list)):
-            raise ValueError('model must contain "input" and a "layers" list')
+        if self.model is not None:
+            if not ("input" in self.model and isinstance(self.model.get("layers"), list)):
+                raise ValueError('model must contain "input" and a "layers" list')
+            plan_layers(self.model["input"],
+                        [layer_from_config(layer) for layer in self.model["layers"]])
 
     @classmethod
     def load(cls, path, seed_override: int | None = None) -> "ExperimentConfig":

@@ -166,30 +166,35 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     Per image: shared background texture, the class cue blended in at
     ``cue_strength`` contrast, then per-image Gaussian pixel noise, clipped
-    to [0, 1]. Draw order (background, all class cues, then per-image noise)
-    is fixed so determinism holds even when the cue is unused.
+    to [0, 1]. Draw order (background, all class cues, then per-image noise,
+    one draw per class covering its images in order) is fixed so determinism
+    holds even when the cue is unused. Images are rendered into one
+    (N, H, W) array, which becomes the dataset's ``image_array``; each
+    image's ``pixels`` is a view of it.
     """
     top, left, ch, cw = spec.resolved_cue_region()
 
     rng = as_rng(spec.seed)
-    size = spec.image_size
+    size, count = spec.image_size, spec.samples_per_class
     background = 0.35 + 0.3 * rng.random((size, size))
     cues = rng.random((spec.class_count, ch, cw))
 
-    images = []
+    pixels = np.empty((spec.class_count * count, size, size))
     for label in range(spec.class_count):
         base = background.copy()
         region = base[top:top + ch, left:left + cw]
         base[top:top + ch, left:left + cw] = (
             (1.0 - spec.cue_strength) * region + spec.cue_strength * cues[label]
         )
-        for idx in range(spec.samples_per_class):
-            noisy = base + rng.normal(0.0, spec.background_noise_sigma, size=(size, size)) \
-                if spec.background_noise_sigma > 0 else base.copy()
-            pixels = np.clip(noisy, 0.0, 1.0)
-            images.append(LabeledImage(pixels=pixels, label=label,
-                                       id=f"c{label:02d}/s{idx:03d}"))
-    return Dataset(images=images, class_count=spec.class_count)
+        block = pixels[label * count:(label + 1) * count]
+        if spec.background_noise_sigma > 0:
+            np.add(base, rng.normal(0.0, spec.background_noise_sigma, size=block.shape), out=block)
+        else:
+            block[:] = base
+        np.clip(block, 0.0, 1.0, out=block)
+    images = [LabeledImage(pixels=pixels[i], label=i // count,
+                           id=f"c{i // count:02d}/s{i % count:03d}") for i in range(len(pixels))]
+    return Dataset(images=images, class_count=spec.class_count, _array_cache=pixels)
 
 
 # ------------------------------------------------------------- splitting
@@ -216,11 +221,13 @@ def split(dataset: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset
         val_idx += [members[j] for j in order[:n_val]]
         train_idx += [members[j] for j in order[n_val:]]
 
-    train = Dataset(images=[dataset.images[i] for i in sorted(train_idx)],
-                    class_count=dataset.class_count, split_tag="train")
-    val = Dataset(images=[dataset.images[i] for i in sorted(val_idx)],
-                  class_count=dataset.class_count, split_tag="val")
-    return train, val
+    def part(indices, tag):
+        indices = sorted(indices)
+        return Dataset(images=[dataset.images[i] for i in indices],
+                       class_count=dataset.class_count, split_tag=tag,
+                       _array_cache=dataset.image_array()[indices] if indices else None)
+
+    return part(train_idx, "train"), part(val_idx, "val")
 
 
 def batches(dataset: Dataset, batch_size: int, rng):

@@ -8,7 +8,8 @@ File layout:
                  tensors: name -> [shape, byte offset, byte length],
                  rng_state, training_meta
     blob         raw little-endian float64 tensor data, offsets relative
-                 to the end of the header
+                 to the end of the header; the tensors tile it exactly
+                 (no gap, overlap or trailing byte)
 
 The JSON header is serialized with sorted keys and no whitespace, and
 tensors are laid out in sorted-name order, so identical models produce
@@ -99,8 +100,10 @@ def read_checkpoint(path) -> Checkpoint:
         input_spec = config["input"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise CorruptionError(f"{path}: header is missing required fields") from exc
+    spans = []
     for name, entry in tensor_table:
         shape, off, length = _tensor_entry(path, name, entry)
+        spans.append((off, length, name))
         if off + length > len(blob):
             raise CorruptionError(f"{path}: tensor {name!r} extends past end of file")
         if length != 8 * math.prod(shape):     # Python ints: np.prod wraps at 2**63
@@ -110,6 +113,15 @@ def read_checkpoint(path) -> Checkpoint:
         if not np.isfinite(arr).all():
             raise CorruptionError(f"{path}: tensor {name!r} holds a non-finite value")
         params[name] = arr.reshape(shape)
+    end = 0     # the tensors must tile the blob: no gap, no overlap, no trailing byte
+    for off, length, name in sorted(spans):
+        if off != end:
+            problem = ("overlaps the tensor before it" if off < end
+                       else f"leaves {off - end} unused bytes before it")
+            raise CorruptionError(f"{path}: tensor {name!r} at byte {off} {problem}")
+        end = off + length
+    if end != len(blob):
+        raise CorruptionError(f"{path}: {len(blob) - end} trailing bytes after the last tensor")
 
     layers = []
     for i, cfg in enumerate(layer_configs):

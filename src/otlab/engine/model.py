@@ -4,7 +4,18 @@ A model is an ordered list of layer descriptors plus a named parameter
 dict. :func:`plan_layers` derives the rest once per model: each layer's
 parameter names and shapes and its input and output shapes. Construction
 checks that the layers compose and that every tensor has its planned
-shape. One walk over the plan (:func:`walk`) serves inference and
+shape.
+
+The plan is the order the layers run in. ``Model.layers``, ``to_config`` and
+checkpoints keep the declared order, but a max-pool runs before the relus
+declared directly ahead of it, so relu, its mask and its VJP work on the
+pooled map (a quarter of a 2x2-pooled conv output). Neither max nor relu
+rounds and relu is monotone, so ``max(relu(a), relu(b)) == relu(max(a, b))``
+bit for bit. A window whose maximum is > 0 sends its gradient to the same
+first-maximum cell in either order; one whose maximum is <= 0 sends zeros
+either way, which may differ only in a zero's sign or cell.
+
+One walk over the plan (:func:`walk`) serves inference and
 recording: :func:`apply_layer` runs a layer's graph op when its input is a
 ``Node`` and its ``*_value`` kernel otherwise. Inference walks any batch in
 ``INFERENCE_ROWS``-row blocks (:func:`walk_blocks`); inside a block the
@@ -113,10 +124,12 @@ def _input_shape(spec) -> tuple[int, int, int]:
 
 
 def plan_layers(input_spec, layers) -> list[LayerPlan]:
-    """The plan of each layer, from the (height, width, channels) input on.
+    """The execution plan of ``layers``, from the (height, width, channels) input on.
 
     Raises ConfigError for a malformed input or layers that do not compose.
-    Dense flattens its input.
+    Dense flattens its input. A max-pool runs before the relus declared
+    directly ahead of it, so relu works on the pooled map; the outputs and
+    gradients are those of the declared order (see the module docstring).
     """
     shape = _input_shape(input_spec)
     counts = {"conv": 0, "dense": 0}
@@ -144,7 +157,14 @@ def plan_layers(input_spec, layers) -> list[LayerPlan]:
             counts[kind] += 1
             name = f"{kind}{counts[kind]}"
             params = ((f"{name}.weight", weight), (f"{name}.bias", weight[-1:]))
-        plan.append(LayerPlan(layer, params, shape, out))
+        step = LayerPlan(layer, params, shape, out)
+        if isinstance(layer, MaxPool):
+            first = len(plan)
+            while first and isinstance(plan[first - 1].spec, Relu):
+                first -= 1
+            plan[first:] = [step] + [LayerPlan(r.spec, (), out, out) for r in plan[first:]]
+        else:
+            plan.append(step)
         shape = out
     return plan
 

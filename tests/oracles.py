@@ -254,6 +254,25 @@ def walk_plain(apply, steps, x, rows=256):
     return np.concatenate(outs)
 
 
+def walk_declared(layers, params, x, kernels):
+    """The layers of a model config walked in their declared order.
+
+    ``layers`` are config dicts. A conv or dense layer takes the weight and
+    bias named ``conv{i}``/``dense{i}`` (counted per type) from ``params``;
+    ``kernels[type](x, layer, *weights)`` runs one layer.
+    """
+    counts = {"conv": 0, "dense": 0}
+    for layer in layers:
+        kind = layer["type"]
+        weights = ()
+        if kind in counts:
+            counts[kind] += 1
+            name = f"{kind}{counts[kind]}"
+            weights = (params[f"{name}.weight"], params[f"{name}.bias"])
+        x = kernels[kind](x, layer, *weights)
+    return x
+
+
 def scan_logits_full(forward_fn, image, patch, stride, chunk=256):
     """Logits of a full forward of every occluded image, positions in
     row-major order, in batches of ``chunk``; forward_fn maps (N,H,W,1)->(N,K)."""

@@ -251,6 +251,12 @@ SYNTHETIC = base_config()["dataset"]["synthetic"]
      "invalid dataset.synthetic: image_size must be at least 1, got -4"),
     ({"dataset": {"synthetic": SYNTHETIC, "split_seed": -1}},
      "invalid dataset: split_seed must be at least 0, got -1"),
+    ({"model": {"input": [10, 10, 1],
+                "layers": [{"type": "conv", "kernel": [3, 3], "filters": "x"}]}},
+     "conv filters must be a number, got 'x'"),
+    ({"model": {"input": [4, 4, 1], "layers": [{"type": "conv", "kernel": [5, 5], "filters": 2},
+                                               {"type": "dense", "units": 4}]}},
+     "layer 0: kernel (5, 5) too large for input (4, 4, 1)"),
 ])
 def test_config_errors_fail_every_command_before_any_output(tmp_path, runner, overrides,
                                                             message):
@@ -399,6 +405,17 @@ def test_corrupt_checkpoint_exits_2_naming_field(tmp_path, runner):
                                   "--out", str(tmp_path / "s2"), str(path)])
     assert result.exit_code == 2
     assert "tensor 'dense1.bias' offset must be a nonnegative integer" in result.output
+
+
+def test_checkpoint_with_trailing_bytes_exits_2(tmp_path, runner):
+    path = tmp_path / "model.otl"
+    save_checkpoint(init_model(default_architecture(10, 4), 0), path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    result = runner.invoke(main, ["occlusion-map", "--config", str(write_config(tmp_path)),
+                                  "--out", str(tmp_path / "s2"), str(path)])
+    assert result.exit_code == 2
+    assert "8 trailing bytes after the last tensor" in result.output
+    assert not (tmp_path / "s2").exists()
 
 
 def test_checkpoint_with_a_misshapen_tensor_exits_2(tmp_path, runner):
@@ -734,3 +751,35 @@ def test_evaluate_artifacts_are_pinned(tmp_path, runner):
     assert "k-fold accuracy 0.5750 +- 0.0829 (k=4); AUC 0.7262" in result.output
     assert hashlib.sha256((out / "roc.csv").read_bytes()).hexdigest() == EVALUATE_ROC_SHA256
     assert hashlib.sha256((out / "kfold.json").read_bytes()).hexdigest() == EVALUATE_KFOLD_SHA256
+
+
+# bytes of occlusion-map's map.csv at stride 1 with a 6x6 and a 13x13 occluder, and
+# of the placement-P train-augmented checkpoint built on the 6x6 map, from a small
+# trained net on 18x18 images (conv2's 9x9 output loses a row and column to the
+# pool's crop): any change to the scan, the training step or the formats fails this
+MAP_CSV_SHA256 = {6: "afa22b2957fac6304c2611b21767e567aaa27b24279a690fffedb8e1a11b2edd",
+                  13: "c70f91f05474cdf2eb18529fb36b86b622976241f1d3516422a9be55c6d98a8b"}
+AUGMENTED_P_SHA256 = "e7ce157d1d906a84f057377e59292a0ecb4c62ad57911cbbffed4d27acd9e23c"
+
+
+def test_map_and_augmented_checkpoint_are_pinned(tmp_path, runner):
+    synthetic = dict(SYNTHETIC, image_size=18, cue_region=[6, 6, 6, 6])
+    cfg = write_config(tmp_path, dataset={"synthetic": synthetic}, map_images=4,
+                       schedule={"steps": 40, "lr": 0.05, "batch_size": 10})
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(tmp_path / "s1")])
+    base = str(tmp_path / "s1" / "checkpoint.otl")
+    for side in (6, 13):
+        cfg_side = tmp_path / f"config{side}.json"
+        cfg_side.write_text(json.dumps(dict(json.loads(cfg.read_text()),
+                                            occluder={"height": side, "width": side},
+                                            schedule={"steps": 20, "lr": 0.05,
+                                                      "batch_size": 10})))
+        out = tmp_path / f"map{side}"
+        run_ok(runner, ["occlusion-map", "--config", str(cfg_side), "--out", str(out), base])
+        digest = hashlib.sha256((out / "map.csv").read_bytes()).hexdigest()
+        assert digest == MAP_CSV_SHA256[side], side
+    out = tmp_path / "s3"
+    run_ok(runner, ["train-augmented", "--config", str(tmp_path / "config6.json"),
+                    "--out", str(out), base, "--map", str(tmp_path / "map6" / "map.csv")])
+    digest = hashlib.sha256((out / "checkpoint.otl").read_bytes()).hexdigest()
+    assert digest == AUGMENTED_P_SHA256

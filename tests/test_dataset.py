@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -96,6 +97,33 @@ def test_synthetic_same_seed_bit_identical():
     assert [im.id for im in a.images] == [im.id for im in b.images]
     for x, y in zip(a.images, b.images):
         assert np.array_equal(x.pixels, y.pixels)
+
+
+# sha256 over every image's id, label and pixels, then each split's ids, image
+# array and labels: any change to the draws, their order or the layout fails this
+SYNTHETIC_RENDER_SHA256 = {
+    "default-seed3": "5f7d51d49b8879afaed3bf5ecb6cea64ef8b4a3eb8d1462b880cb9d110cdb90a",
+    "noise-free": "60dea0543b630e80ca6c996e4e0850ddb14a486f5a99a36ed2c69c76d7805f39",
+}
+
+
+@pytest.mark.parametrize("case, spec", [
+    ("default-seed3", SyntheticSpec(seed=3)),
+    ("noise-free", SyntheticSpec(class_count=3, samples_per_class=10, image_size=9,
+                                 background_noise_sigma=0.0, seed=7)),
+])
+def test_synthetic_render_is_pinned(case, spec):
+    full = generate_synthetic(spec)
+    train, val = split(full, 0.1, spec.seed)
+    digest = hashlib.sha256()
+    for im in full.images:
+        digest.update(f"{im.id},{im.label}".encode())
+        digest.update(im.pixels.tobytes())
+    for part in (full, train, val):
+        digest.update(",".join(part.ids()).encode())
+        digest.update(part.image_array().tobytes())
+        digest.update(part.label_array().tobytes())
+    assert digest.hexdigest() == SYNTHETIC_RENDER_SHA256[case]
 
 
 def test_synthetic_zero_cue_strength_class_free():

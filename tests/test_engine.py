@@ -1,11 +1,12 @@
 import hashlib
+import json
 import re
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
@@ -31,7 +32,9 @@ from otlab.engine.model import (
     SPATIAL_ROWS,
     Conv,
     Dense,
+    MaxPool,
     Model,
+    Relu,
     apply_layer,
     default_architecture,
     layer_from_config,
@@ -49,6 +52,7 @@ from oracles import (
     maxpool_loops,
     rel_error,
     softmax_ce_loops,
+    walk_declared,
     walk_plain,
 )
 
@@ -431,6 +435,71 @@ def test_random_net_gradients_equal_the_unpruned_walk(height, width, channels, s
     _assert_same_gradient_bits(model, x, r.integers(0, model.num_classes(), batch))
 
 
+def test_the_plan_runs_pools_first_and_the_model_keeps_the_declared_order(tmp_path):
+    config = default_architecture(32, 10)
+    model = init_model(config, 0)
+    assert [type(step.spec) for step in model.plan] == [Conv, MaxPool, Relu] * 2 + [Dense] * 2
+    assert [(step.in_shape, step.out_shape) for step in model.plan[:3]] == [
+        ((32, 32, 1), (32, 32, 8)), ((32, 32, 8), (16, 16, 8)), ((16, 16, 8), (16, 16, 8))]
+    declared = [layer["type"] for layer in config["layers"]]
+    assert [type(layer) for layer in model.layers] == [Conv, Relu, MaxPool] * 2 + [Dense] * 2
+    assert [layer["type"] for layer in model.to_config()["layers"]] == declared
+    path = tmp_path / "model.otl"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    header = json.loads(raw[8:8 + int.from_bytes(raw[4:8], "little")])
+    assert [layer["type"] for layer in header["model_config"]["layers"]] == declared
+    loaded = read_checkpoint(path).model
+    assert loaded.layers == model.layers and loaded.plan == model.plan
+
+
+def test_relus_declared_before_a_pool_run_after_it():
+    layers = [layer_from_config(c) for c in (
+        {"type": "relu"}, {"type": "relu"}, {"type": "maxpool", "window": 2},
+        {"type": "maxpool", "window": 3}, {"type": "relu"}, {"type": "dense", "units": 2})]
+    plan = plan_layers([12, 12, 1], layers)
+    assert [type(step.spec) for step in plan] == [MaxPool, MaxPool, Relu, Relu, Relu, Dense]
+    assert [step.out_shape for step in plan] == [(6, 6, 1), (2, 2, 1)] + [(2, 2, 1)] * 3 + [(2,)]
+
+
+_RELUS_THEN_POOL = st.builds(
+    lambda relus, window: [{"type": "relu"}] * relus + [{"type": "maxpool", "window": window}],
+    st.integers(1, 2), st.integers(2, 3))
+
+
+def _declared_trace(model, x):
+    """Logits and parameter nodes of ``oracles.walk_declared`` on the graph ops."""
+    nodes = {name: ad.Node(value) for name, value in model.params.items()}
+    kernels = {"conv": lambda x, layer, w, b: ops.conv2d(x, w, b, layer["padding"]),
+               "relu": lambda x, layer: ad.relu(x),
+               "maxpool": lambda x, layer: ops.maxpool(x, layer["window"]),
+               "dense": lambda x, layer, w, b: ops.dense(x, w, b)}
+    return walk_declared(model.to_config()["layers"], nodes, ad.Node(x), kernels), nodes
+
+
+@settings(max_examples=60)
+@given(**{**_RANDOM_NET, "spatial": st.lists(st.one_of(_SPATIAL_LAYER.map(lambda c: [c]),
+                                                       _RELUS_THEN_POOL), max_size=4)
+          .map(lambda blocks: [c for block in blocks for c in block])})
+def test_the_pool_first_plan_gives_the_declared_order_bits(height, width, channels, spatial,
+                                                          head, batch, seed):
+    # relu is monotone and neither max nor relu rounds, so outputs and gradients keep
+    # their bits. The one allowed difference is a zero's sign (or which cell holds a
+    # -0.0) where a pool window's maximum is <= 0: values are compared after
+    # ``+ 0.0``, which turns -0.0 into +0.0 and keeps every other value's bits.
+    model = init_model(_random_config([height, width, channels], spatial, head), seed)
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(batch, height, width, channels))
+    weights = r.normal(size=(batch, model.num_classes()))
+    run = trace(model, x)
+    grads = ad.gradients(ad.sum_along(run.logits * weights), run.param_nodes.values())
+    logits, nodes = _declared_trace(model, x)
+    declared = ad.gradients(ad.sum_along(logits * weights), nodes.values())
+    assert (run.logits.value + 0.0).tobytes() == (logits.value + 0.0).tobytes()
+    for name, got, want in zip(nodes, grads, declared):
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), name
+
+
 def test_backward_never_runs_the_vjp_into_the_input(rng):
     model = init_model(default_architecture(8, 3), rng)
     run = trace(model, rng.random((2, 8, 8, 1)))
@@ -716,6 +785,60 @@ def test_checkpoint_malformed_header_names_the_field(rng, tmp_path, edit, match)
     with pytest.raises(CorruptionError, match=match) as info:
         read_checkpoint(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("edit, tail, match", [
+    (None, bytes(8), "8 trailing bytes after the last tensor"),
+    (lambda h: h["tensors"]["conv1.weight"].__setitem__(1, 8), b"",
+     "tensor 'conv1.weight' at byte 8 overlaps the tensor before it"),
+    (lambda h: h["tensors"]["conv1.weight"].__setitem__(1, 24), b"",
+     "tensor 'conv1.weight' at byte 24 leaves 8 unused bytes before it"),
+])
+def test_checkpoint_tensors_must_tile_the_blob(rng, tmp_path, edit, tail, match):
+    path = tmp_path / "model.otl"
+    save_checkpoint(init_model(small_config(), rng), path)
+    if edit is not None:
+        _rewrite_header(path, edit)
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(CorruptionError, match=match):
+        read_checkpoint(path)
+
+
+def _mutated_checkpoint(draw, raw):
+    """``raw`` with one drawn mutation: header length, truncation, appended bytes,
+    a header byte, or one field of a tensor-table entry."""
+    n = int.from_bytes(raw[4:8], "little")
+    kind = draw(st.sampled_from(["length", "truncate", "append", "header byte", "entry"]))
+    if kind == "length":
+        return raw[:4] + draw(st.integers(0, 2**32 - 1)).to_bytes(4, "little") + raw[8:]
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "append":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    if kind == "header byte":
+        at = draw(st.integers(8, 8 + n - 1))
+        return raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    header = json.loads(raw[8:8 + n])
+    entry = header["tensors"][draw(st.sampled_from(sorted(header["tensors"])))]
+    entry[draw(st.integers(0, 2))] = draw(st.one_of(
+        st.none(), st.booleans(), st.integers(-8, 2000), st.floats(),
+        st.text(max_size=3), st.lists(st.integers(-1, 20), max_size=4)))
+    new = json.dumps(header).encode()
+    return raw[:4] + len(new).to_bytes(4, "little") + new + raw[8 + n:]
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_checkpoint_loads_or_raises_a_format_error(tmp_path, data):
+    # a flipped blob byte that stays finite still loads: the blob carries no checksum
+    path = tmp_path / "model.otl"
+    save_checkpoint(init_model(small_config(), 0), path)
+    path.write_bytes(_mutated_checkpoint(data.draw, path.read_bytes()))
+    try:
+        read_checkpoint(path)
+    except FormatError:     # CorruptionError included
+        pass
 
 
 def test_checkpoint_non_finite_tensor_rejected(rng, tmp_path):
