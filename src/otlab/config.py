@@ -95,6 +95,9 @@ class ExperimentConfig:
         if self.model is not None:
             if not ("input" in self.model and isinstance(self.model.get("layers"), list)):
                 raise ValueError('model must contain "input" and a "layers" list')
+            unknown = set(self.model) - {"input", "layers"}
+            if unknown:
+                raise ValueError(f"unknown model fields: {sorted(unknown)}")
             plan_layers(self.model["input"],
                         [layer_from_config(layer) for layer in self.model["layers"]])
 

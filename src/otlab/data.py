@@ -40,8 +40,11 @@ class Dataset:
         return len(self.images)
 
     def image_array(self) -> np.ndarray:
-        """All pixels stacked to (N, H, W); cached."""
+        """All pixels stacked to (N, H, W); cached. A dataset with no images
+        has no image shape, so without a cache it raises StateError."""
         if self._array_cache is None:
+            if not self.images:
+                raise StateError("dataset has no images to stack")
             self._array_cache = np.stack([im.pixels for im in self.images])
         return self._array_cache
 
@@ -225,7 +228,7 @@ def split(dataset: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset
         indices = sorted(indices)
         return Dataset(images=[dataset.images[i] for i in indices],
                        class_count=dataset.class_count, split_tag=tag,
-                       _array_cache=dataset.image_array()[indices] if indices else None)
+                       _array_cache=dataset.image_array()[np.array(indices, dtype=np.intp)])
 
     return part(train_idx, "train"), part(val_idx, "val")
 

@@ -205,7 +205,7 @@ class TripletEmbedder(ParamsMixin):
         if not hasattr(self, "model_"):
             raise StateError("TripletEmbedder is not fitted")
         X = check_image_batch(X)
-        return np.stack([e.vector for e in metric.embed(self.model_, _images(X, [0] * len(X)))])
+        return metric.embed(self.model_, _images(X, [0] * len(X)))
 
     def fit_transform(self, X, y) -> np.ndarray:
         return self.fit(X, y).transform(X)

@@ -72,7 +72,7 @@ def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool
             if id(im) not in slot:
                 slot[id(im)] = len(distinct)
                 distinct.append(im)
-    vectors = [e.vector for e in embed(model, distinct)]
+    vectors = embed(model, distinct)
     return [ScoredPair(id_a=a.id, id_b=b.id,
                        score=float(vectors[slot[id(a)]] @ vectors[slot[id(b)]]),
                        is_match=bool(is_match))

@@ -1,7 +1,7 @@
-"""Embedding extraction and triplet-based training objectives.
+"""Bottleneck embeddings and triplet-based training objectives.
 
-Embeddings are the L2-normalized bottleneck features (classification layer
-discarded). Two objectives are provided over squared-Euclidean distances:
+An embedding is an L2-normalized bottleneck feature vector (classification
+layer discarded). Two objectives are provided over squared-Euclidean distances:
 
 * standard hinge: sum over triplets of max(0, d_ap - d_an + margin)
 * batch form: (1-beta) * (mean_ap - mean_an + margin)
@@ -12,10 +12,12 @@ The batch form penalizes the spread of both score distributions, not just
 the gap between their means, so it targets the decidability statistic
 directly. Online sampling restricts a batch to margin-violating triplets.
 
-Fine-tuning and the test-facing API share one path: per pool, one
-``autodiff.sq_distances`` node whose entries equal each pair's own distance
-bit for bit. Mining reads its value; the loss and the batch statistics read
-the d_ap and d_an nodes gathered from it. README "Triplet objectives" has more.
+There is one triplet path. A pool's ``autodiff.sq_distances`` node, whose
+entries equal each pair's own distance bit for bit, goes to :func:`mine`,
+which reads its value and returns a :class:`TripletBatch` of the d_ap and
+d_an nodes gathered from it; :func:`triplet_loss` builds the configured loss
+over those nodes. ``finetune`` and the tests both go through these two
+functions. README "Triplet objectives" has more.
 """
 
 from __future__ import annotations
@@ -35,13 +37,6 @@ from .validation import as_rng, at_least
 
 
 @dataclass(frozen=True)
-class Embedding:
-    vector: np.ndarray          # (D,) unit-norm
-    source_id: str
-    label: int
-
-
-@dataclass(frozen=True)
 class LossConfig:
     mode: str = "batch"                 # "standard" | "batch"
     alpha: float = 0.5
@@ -52,12 +47,11 @@ class LossConfig:
     def __post_init__(self):
         if self.mode not in ("standard", "batch"):
             raise ValueError(f"mode must be 'standard' or 'batch', got {self.mode!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        at_least(0, alpha=self.alpha)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        if self.max_triplets is not None and self.max_triplets < 1:
-            raise ValueError("max_triplets must be positive when set")
+        if self.max_triplets is not None:
+            at_least(1, max_triplets=self.max_triplets)
 
 
 @dataclass(frozen=True)
@@ -76,14 +70,12 @@ class FinetuneSchedule:
 class TripletBatch:
     """Triplets of pool indices with their distance nodes and batch stats.
 
-    ``pool`` is the pool's ``autodiff.sq_distances`` node, or its (n, D)
-    vectors, which become the leaf ``points`` under a new such node.
+    ``distances`` is the pool's (n, n) ``autodiff.sq_distances`` node and
+    ``triplets`` its (a, p, n) rows; ``d_ap`` and ``d_an`` are gathered from it.
     """
 
-    def __init__(self, pool, labels, triplets):
-        self.distances = pool if isinstance(pool, Node) else autodiff.sq_distances(Node(pool))
-        ((self.points, _),) = self.distances.parents
-        self.vectors = self.points.value
+    def __init__(self, distances: Node, labels, triplets):
+        self.distances = distances
         self.labels = np.asarray(labels, dtype=np.int64)
         self.index = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)   # (T, 3): a, p, n
         a, p, n = (self.labels[col] for col in self.index.T)
@@ -95,10 +87,6 @@ class TripletBatch:
         row = self.index[:, 0] * self.distances.shape[0]
         self.d_ap, self.d_an = (autodiff.take_flat(self.distances, row + col)
                                 for col in self.index.T[1:])
-
-    @property
-    def triplets(self) -> list[tuple[int, int, int]]:
-        return list(map(tuple, self.index.tolist()))
 
     def __len__(self):
         return len(self.index)
@@ -133,24 +121,13 @@ def _feature_norms(feats: np.ndarray, items, where: str = "") -> np.ndarray:
     return norms
 
 
-def embed(model: Model, images) -> list[Embedding]:
-    """Unit-norm bottleneck embeddings for a Dataset or list of images."""
+def embed(model: Model, images) -> np.ndarray:
+    """(N, D) unit-norm bottleneck embeddings of a Dataset or list of images, in order."""
     items: list[LabeledImage] = list(images.images) if isinstance(images, Dataset) else list(images)
     if not items:
-        return []
+        return np.empty((0, model.bottleneck_dim()))
     feats = forward_features(model, np.stack([im.pixels for im in items])[:, :, :, np.newaxis])
-    unit = feats / _feature_norms(feats, items)[:, None]
-    return [Embedding(vector=unit[i], source_id=im.id, label=im.label)
-            for i, im in enumerate(items)]
-
-
-def distance(a, b) -> float:
-    """Squared Euclidean distance; equals 2 - 2*cos for unit vectors."""
-    va = a.vector if isinstance(a, Embedding) else np.asarray(a, dtype=np.float64)
-    vb = b.vector if isinstance(b, Embedding) else np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(((va - vb) ** 2).sum())
+    return feats / _feature_norms(feats, items)[:, None]
 
 
 # ------------------------------------------------------------ loss graphs
@@ -170,25 +147,16 @@ def batch_loss_node(batch: TripletBatch, alpha: float, beta: float) -> Node:
     return (1.0 - beta) * (mu_ap - mu_an + alpha) + beta * (var_ap + var_an)
 
 
-def standard_triplet_loss(batch: TripletBatch, alpha: float) -> tuple[float, np.ndarray]:
-    """Hinge loss and its gradient with respect to the pool embeddings.
-
-    Inactive triplets (margin satisfied) contribute zero loss and zero
-    subgradient.
-    """
-    if len(batch) < MIN_TRIPLETS["standard"]:
-        raise StateError("standard triplet loss needs a nonempty batch")
-    loss = standard_loss_node(batch, alpha)
-    return float(loss.value), gradients(loss, [batch.points])[0]
-
-
-def batch_triplet_loss(batch: TripletBatch, alpha: float, beta: float) -> tuple[float, np.ndarray]:
-    """Mean-separation plus variance loss and its embedding gradients."""
-    if len(batch) < MIN_TRIPLETS["batch"]:
-        raise ValueError(f"batch triplet loss needs at least {MIN_TRIPLETS['batch']} triplets "
-                         "(variances require more than one sample)")
-    loss = batch_loss_node(batch, alpha, beta)
-    return float(loss.value), gradients(loss, [batch.points])[0]
+def triplet_loss(batch: TripletBatch, config: LossConfig) -> Node:
+    """The scalar loss node of ``config.mode`` over ``batch``. A batch of fewer
+    than the mode's ``MIN_TRIPLETS`` raises StateError."""
+    need = MIN_TRIPLETS[config.mode]
+    if len(batch) < need:
+        raise StateError(f"{config.mode} triplet loss needs at least {need} triplets, "
+                         f"got {len(batch)}")
+    if config.mode == "standard":
+        return standard_loss_node(batch, config.alpha)
+    return batch_loss_node(batch, config.alpha, config.beta)
 
 
 # -------------------------------------------------------- triplet mining
@@ -205,34 +173,17 @@ def _violating_triplets(distances: np.ndarray, labels: np.ndarray, alpha: float,
     return np.stack(np.nonzero(mask), axis=1)
 
 
-def _mine(distances: Node, labels: np.ndarray, alpha: float, online: bool,
-          max_triplets: int | None, rng) -> TripletBatch:
-    """The batch of the pool's triplets over its ``sq_distances`` node, capped
-    to a seeded, order-keeping subsample of ``max_triplets`` rows (``rng`` is
-    drawn from only when the cap bites)."""
-    triplets = _violating_triplets(distances.value, labels, alpha, online=online)
-    if max_triplets is not None and len(triplets) > max_triplets:
-        triplets = triplets[np.sort(as_rng(rng).choice(len(triplets), size=max_triplets,
+def mine(distances: Node, labels, config: LossConfig, rng=None) -> TripletBatch:
+    """The batch of the pool's triplets over its ``sq_distances`` node: all of
+    them, or with ``config.online`` the margin violators, capped to a seeded,
+    order-keeping subsample of ``config.max_triplets`` rows (``rng`` is drawn
+    from only when the cap bites)."""
+    labels = np.asarray(labels)
+    triplets = _violating_triplets(distances.value, labels, config.alpha, online=config.online)
+    if config.max_triplets is not None and len(triplets) > config.max_triplets:
+        triplets = triplets[np.sort(as_rng(rng).choice(len(triplets), size=config.max_triplets,
                                                        replace=False))]
     return TripletBatch(distances, labels, triplets)
-
-
-def online_sample_triplets(embeddings: list[Embedding], alpha: float,
-                           max_triplets: int | None = None, rng=None) -> TripletBatch:
-    """Batch of all margin-violating triplets in the pool (possibly empty).
-
-    Raises if the pool admits no anchor-positive pair or no negative. With
-    ``max_triplets`` set, a seeded subsample caps the batch (input order
-    preserved).
-    """
-    labels = np.array([e.label for e in embeddings])
-    _, counts = np.unique(labels, return_counts=True)
-    if not (counts >= 2).any():
-        raise ValueError("pool has no class with two samples; no anchor-positive pair exists")
-    if len(counts) < 2:
-        raise ValueError("pool needs at least two classes to form negatives")
-    points = Node(np.stack([e.vector for e in embeddings]))
-    return _mine(autodiff.sq_distances(points), labels, alpha, True, max_triplets, rng)
 
 
 # ------------------------------------------------------------ statistics
@@ -298,26 +249,26 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
         run = trace(model, images, through="features")
         _feature_norms(run.features.value, [dataset.images[i] for i in pool_idx],
                        f" at fine-tune step {step}")
-        distances = autodiff.sq_distances(l2_normalize(run.features))
-        batch = _mine(distances, labels, config.alpha, config.online, config.max_triplets, rng)
+        batch = mine(autodiff.sq_distances(l2_normalize(run.features)), labels, config, rng)
 
         row = {"step": step, "loss": nan, "mu_ap": nan, "mu_an": nan,
                "var_ap": nan, "var_an": nan, "decidability": nan,
                "triplet_count": len(batch)}
-        if len(batch) >= MIN_TRIPLETS[config.mode]:
-            loss_node = (standard_loss_node(batch, config.alpha) if config.mode == "standard"
-                         else batch_loss_node(batch, config.alpha, config.beta))
-            loss = float(loss_node.value)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite fine-tuning loss at step {step}")
-            grads = gradients(loss_node, list(run.param_nodes.values()))
-            opt.step(model, dict(zip(run.param_nodes, grads)), step)
-
-            row.update(loss=loss, mu_ap=batch.mu_ap, mu_an=batch.mu_an,
-                       var_ap=batch.var_ap, var_an=batch.var_an)
-            if len(batch) >= 2 and batch.var_ap + batch.var_an > 0:
-                row["decidability"] = decidability(batch.d_ap.value, batch.d_an.value)
         rows.append(row)
+        try:
+            loss_node = triplet_loss(batch, config)
+        except StateError:      # too few triplets for the loss: no update this step
+            continue
+        loss = float(loss_node.value)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"non-finite fine-tuning loss at step {step}")
+        grads = gradients(loss_node, list(run.param_nodes.values()))
+        opt.step(model, dict(zip(run.param_nodes, grads)), step)
+
+        row.update(loss=loss, mu_ap=batch.mu_ap, mu_an=batch.mu_an,
+                   var_ap=batch.var_ap, var_an=batch.var_an)
+        if len(batch) >= 2 and batch.var_ap + batch.var_an > 0:
+            row["decidability"] = decidability(batch.d_ap.value, batch.d_an.value)
     return model, rows
 
 

@@ -120,9 +120,10 @@ def from_section(cls, section, where: str, *, sep: str = "."):
 
 
 def at_least(least, prefix: str = "", **values) -> None:
-    """Raise ValueError naming the first of ``values`` that is below ``least``."""
+    """Raise ValueError naming the first of ``values`` that is below ``least``
+    or is NaN."""
     for key, value in values.items():
-        if value < least:
+        if not value >= least:
             raise ValueError(f"{prefix}{key} must be at least {least}, got {value}")
 
 

@@ -34,14 +34,12 @@ from otlab.evaluation import (
     score_pairs,
 )
 from otlab.metric import (
-    Embedding,
     FinetuneSchedule,
     LossConfig,
     TripletBatch,
-    batch_triplet_loss,
     finetune,
-    online_sample_triplets,
-    standard_triplet_loss,
+    mine,
+    triplet_loss,
 )
 from otlab.occlusion import (
     OccluderSpec,
@@ -101,11 +99,6 @@ def random_unit_pool(rng, n=32, classes=4, dim=8):
     vectors = rng.normal(size=(n, dim))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return vectors, labels
-
-
-def pool_embeddings(vectors, labels):
-    return [Embedding(vector=vectors[i], source_id=f"e{i}", label=int(labels[i]))
-            for i in range(len(labels))]
 
 
 # --------------------------------------------------------------------------
@@ -195,34 +188,34 @@ def test_criterion_1_gradient_fidelity():
 
         # triplet losses w.r.t. embedding coordinates
         vectors, labels = random_unit_pool(rng, n=16)
-        batch = online_sample_triplets(pool_embeddings(vectors, labels), alpha=0.5)
+        points = ad.Node(vectors)
+        batch = mine(ad.sq_distances(points), labels, LossConfig(alpha=0.5))
         if len(batch) < 2:
             continue
-        ai = [t[0] for t in batch.triplets]
-        pi = [t[1] for t in batch.triplets]
-        ni = [t[2] for t in batch.triplets]
-        vecs = batch.vectors
+        ai, pi, ni = batch.index.T
 
-        _, g_std = standard_triplet_loss(batch, alpha=0.5)
+        (g_std,) = ad.gradients(triplet_loss(batch, LossConfig(mode="standard", alpha=0.5)),
+                                [points])
 
         def std_loss():
-            d_ap = ((vecs[ai] - vecs[pi]) ** 2).sum(axis=1)
-            d_an = ((vecs[ai] - vecs[ni]) ** 2).sum(axis=1)
+            d_ap = ((vectors[ai] - vectors[pi]) ** 2).sum(axis=1)
+            d_an = ((vectors[ai] - vectors[ni]) ** 2).sum(axis=1)
             return float(np.maximum(0.0, d_ap - d_an + 0.5).sum())
 
         worst["standard_triplet"] = max(worst["standard_triplet"],
-                                        rel_error(g_std, finite_difference(std_loss, vecs)))
+                                        rel_error(g_std, finite_difference(std_loss, vectors)))
 
-        _, g_bat = batch_triplet_loss(batch, alpha=0.5, beta=0.7)
+        (g_bat,) = ad.gradients(triplet_loss(batch, LossConfig(alpha=0.5, beta=0.7)),
+                                [points])
 
         def bat_loss():
-            d_ap = ((vecs[ai] - vecs[pi]) ** 2).sum(axis=1)
-            d_an = ((vecs[ai] - vecs[ni]) ** 2).sum(axis=1)
+            d_ap = ((vectors[ai] - vectors[pi]) ** 2).sum(axis=1)
+            d_an = ((vectors[ai] - vectors[ni]) ** 2).sum(axis=1)
             return float(0.3 * (d_ap.mean() - d_an.mean() + 0.5)
                          + 0.7 * (d_ap.var() + d_an.var()))
 
         worst["batch_triplet"] = max(worst["batch_triplet"],
-                                     rel_error(g_bat, finite_difference(bat_loss, vecs)))
+                                     rel_error(g_bat, finite_difference(bat_loss, vectors)))
 
     elapsed = time.time() - start
     ok = all(v < 1e-4 for v in worst.values()) and elapsed < 60
@@ -246,11 +239,11 @@ def test_criterion_2_batch_loss_reductions():
                         [float(np.sqrt(rng.uniform(0, 2)))]]
             labels += [2 * i, 2 * i, 2 * i + 1]
             triplets.append((base, base + 1, base + 2))
-        batch = TripletBatch(np.array(vectors), np.array(labels), triplets)
+        batch = TripletBatch(ad.sq_distances(np.array(vectors)), np.array(labels), triplets)
 
-        loss0, _ = batch_triplet_loss(batch, alpha=0.5, beta=0.0)
+        loss0 = float(triplet_loss(batch, LossConfig(alpha=0.5, beta=0.0)).value)
         worst_mean = max(worst_mean, abs(loss0 - (batch.mu_ap - batch.mu_an + 0.5)))
-        loss1, _ = batch_triplet_loss(batch, alpha=0.5, beta=1.0)
+        loss1 = float(triplet_loss(batch, LossConfig(alpha=0.5, beta=1.0)).value)
         worst_var = max(worst_var, abs(loss1 - (batch.var_ap + batch.var_an)))
 
     ok = worst_mean <= 1e-12 and worst_var <= 1e-12
@@ -270,8 +263,9 @@ def test_criterion_3_oracle_equivalence():
     mining_ok = True
     for n in (16, 32, 48, 64):
         vectors, labels = random_unit_pool(rng, n=n, classes=4)
-        batch = online_sample_triplets(pool_embeddings(vectors, labels), alpha=0.5)
-        mining_ok &= set(batch.triplets) == violating_triplets_loops(vectors, labels, 0.5)
+        batch = mine(ad.sq_distances(vectors), labels, LossConfig(alpha=0.5))
+        mining_ok &= (set(map(tuple, batch.index.tolist()))
+                      == violating_triplets_loops(vectors, labels, 0.5))
 
     # k-fold protocol vs brute-force sweep
     kfold_ok = True

@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -70,8 +71,10 @@ def test_probes_count_each_kernel_call_once(rng):
         "ops.conv2d": 4, "ops.relu": 4, "ops.maxpool": 4, "ops.dense": 4}
 
 
-def test_probes_time_each_finetune_phase_once_per_update(rng):
-    # offline mining on a 12-image pool always yields a batch, so every step updates
+@pytest.mark.parametrize("mode", ["standard", "batch"])
+def test_probes_time_each_finetune_phase_once_per_update(rng, mode):
+    # offline mining on a 12-image pool always yields a batch, so every step
+    # updates; each mode's loss builder is looked up when the loss is built
     dataset = generate_synthetic(SyntheticSpec(class_count=3, samples_per_class=6,
                                                image_size=8, seed=0))
     model = init_model(default_architecture(8, 3), rng)
@@ -79,7 +82,7 @@ def test_probes_time_each_finetune_phase_once_per_update(rng):
     try:
         probes.install(tracer, patcher)
         _, rows = otlab.metric.finetune(
-            model, dataset, LossConfig(mode="batch", online=False),
+            model, dataset, LossConfig(mode=mode, online=False),
             FinetuneSchedule(steps=3, lr=0.001, pool_classes=3, pool_per_class=4), rng)
     finally:
         patcher.restore()

@@ -257,6 +257,10 @@ SYNTHETIC = base_config()["dataset"]["synthetic"]
     ({"model": {"input": [4, 4, 1], "layers": [{"type": "conv", "kernel": [5, 5], "filters": 2},
                                                {"type": "dense", "units": 4}]}},
      "layer 0: kernel (5, 5) too large for input (4, 4, 1)"),
+    ({"model": {"input": [10, 10, 1], "layers": [{"type": "dense", "units": 4},
+                                                 {"type": "dense", "units": 4}],
+                "layres": []}},
+     "unknown model fields: ['layres']"),
 ])
 def test_config_errors_fail_every_command_before_any_output(tmp_path, runner, overrides,
                                                             message):

@@ -252,6 +252,21 @@ def test_split_rejects_tiny_classes():
         split(ds, 0.5, seed=0)
 
 
+def test_split_gives_an_empty_part_an_empty_image_array():
+    # round(0.1 * 5) == 0, so no class gives the validation part an image
+    full = generate_synthetic(SyntheticSpec(samples_per_class=5))
+    train, val = split(full, 0.1, seed=0)
+    assert (len(train), len(val)) == (50, 0)
+    assert val.image_array().shape == (0, 32, 32)
+    np.testing.assert_array_equal(train.image_array(),
+                                  np.stack([im.pixels for im in train.images]))
+
+
+def test_image_array_of_an_empty_uncached_dataset_is_a_state_error():
+    with pytest.raises(StateError, match="no images"):
+        Dataset(images=[], class_count=0).image_array()
+
+
 # ---------------------------------------------------------------- batches
 
 def test_single_batch_is_permutation():

@@ -81,7 +81,7 @@ def test_scores_equal_per_pair_embedding_path(monkeypatch):
     pairs = resolve_pairs(ids, ds)
     lefts = embed(model, [a for a, _, _ in pairs])
     rights = embed(model, [b for _, b, _ in pairs])
-    expected = [float(ea.vector @ eb.vector) for ea, eb in zip(lefts, rights)]
+    expected = [float(ea @ eb) for ea, eb in zip(lefts, rights)]
 
     embedded = []
     monkeypatch.setattr(evaluation, "embed",

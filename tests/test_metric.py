@@ -15,19 +15,17 @@ from otlab.engine import (
     init_model,
     train_classifier,
 )
+from otlab.engine.autodiff import Node, gradients
 from otlab.errors import DivergenceError, StateError
 from otlab.metric import (
-    Embedding,
     FinetuneSchedule,
     LossConfig,
     TripletBatch,
-    batch_triplet_loss,
     decidability,
-    distance,
     embed,
     finetune,
-    online_sample_triplets,
-    standard_triplet_loss,
+    mine,
+    triplet_loss,
 )
 
 from oracles import (
@@ -53,10 +51,18 @@ def unit(v):
 
 
 def make_pool(rng, n=32, classes=4, dim=8):
+    """(n, dim) unit vectors and their labels."""
     labels = rng.integers(0, classes, size=n)
     vectors = np.stack([unit(rng.normal(size=dim)) for _ in range(n)])
-    return [Embedding(vector=vectors[i], source_id=f"e{i}", label=int(labels[i]))
-            for i in range(n)]
+    return vectors, labels
+
+
+def rows(batch):
+    return [tuple(t) for t in batch.index.tolist()]
+
+
+def loss_of(batch, **config):
+    return float(triplet_loss(batch, LossConfig(**config)).value)
 
 
 # ------------------------------------------------------------------- embed
@@ -65,8 +71,8 @@ def test_embeddings_are_unit_norm(rng):
     model = small_model(rng)
     images = [LabeledImage(pixels=rng.random((6, 6)), label=0, id=f"i{k}")
               for k in range(7)]
-    for e in embed(model, images):
-        assert abs(np.linalg.norm(e.vector) - 1.0) < 1e-10
+    for vector in embed(model, images):
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-10
 
 
 def test_duplicate_images_embed_identically(rng):
@@ -74,7 +80,7 @@ def test_duplicate_images_embed_identically(rng):
     pixels = rng.random((6, 6))
     images = [LabeledImage(pixels=pixels.copy(), label=0, id=f"d{k}") for k in range(2)]
     a, b = embed(model, images)
-    assert np.array_equal(a.vector, b.vector)
+    assert np.array_equal(a, b)
 
 
 def test_embed_matches_two_step_oracle(rng):
@@ -82,8 +88,8 @@ def test_embed_matches_two_step_oracle(rng):
     images = [LabeledImage(pixels=rng.random((6, 6)), label=1, id=f"o{k}")
               for k in range(4)]
     feats = forward_features(model, np.stack([im.pixels for im in images])[..., None])
-    for e, row in zip(embed(model, images), feats):
-        np.testing.assert_allclose(e.vector, row / np.linalg.norm(row), atol=1e-14)
+    for vector, row in zip(embed(model, images), feats):
+        np.testing.assert_allclose(vector, row / np.linalg.norm(row), atol=1e-14)
 
 
 def test_zero_feature_vector_reported(rng):
@@ -95,46 +101,44 @@ def test_zero_feature_vector_reported(rng):
         embed(model, images)
 
 
-# ---------------------------------------------------------------- distance
+# ------------------------------------------------- pool distance matrix
 
 def test_distance_identical_vectors_is_zero():
     v = unit([1.0, 2.0, 3.0])
-    assert distance(v, v) == 0.0
+    assert autodiff.sq_distances(np.stack([v, v])).value[0, 1] == 0.0
 
 
 def test_distance_antipodal_unit_vectors_is_four():
     v = unit([0.3, -0.4, 0.5])
-    assert distance(v, -v) == pytest.approx(4.0, abs=1e-12)
+    assert autodiff.sq_distances(np.stack([v, -v])).value[0, 1] == pytest.approx(4.0, abs=1e-12)
 
 
 @given(st.integers(0, 10_000))
 def test_distance_cosine_identity(seed):
     rng = np.random.default_rng(seed)
     a, b = unit(rng.normal(size=6)), unit(rng.normal(size=6))
-    assert abs(distance(a, b) - (2.0 - 2.0 * float(a @ b))) < 1e-12
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        distance(np.ones(3), np.ones(4))
+    d = autodiff.sq_distances(np.stack([a, b])).value[0, 1]
+    assert abs(d - (2.0 - 2.0 * float(a @ b))) < 1e-12
 
 
 # ------------------------------------------------------------ triplet batch
 
 def _batch_from_distances(d_aps, d_ans):
-    """1-D embeddings realizing the requested squared distances exactly-ish."""
+    """Leaf points (1-D embeddings realizing the requested squared distances
+    exactly-ish) and the batch of one triplet per (d_ap, d_an)."""
     vectors, labels, triplets = [], [], []
     for i, (dap, dan) in enumerate(zip(d_aps, d_ans)):
         base = len(vectors)
         vectors += [[0.0], [np.sqrt(dap)], [np.sqrt(dan)]]
         labels += [2 * i, 2 * i, 2 * i + 1]
         triplets.append((base, base + 1, base + 2))
-    return TripletBatch(np.array(vectors), np.array(labels), triplets)
+    points = Node(np.array(vectors))
+    return points, TripletBatch(autodiff.sq_distances(points), np.array(labels), triplets)
 
 
 def test_batch_stats_recomputable_from_distance_lists(rng):
-    pool = make_pool(rng)
-    batch = online_sample_triplets(pool, alpha=0.5)
+    vectors, labels = make_pool(rng)
+    batch = mine(autodiff.sq_distances(vectors), labels, LossConfig(alpha=0.5))
     assert len(batch) > 0
     d_ap = batch.d_ap.value
     assert batch.mu_ap == pytest.approx(float(np.mean(d_ap)), abs=1e-12)
@@ -142,50 +146,50 @@ def test_batch_stats_recomputable_from_distance_lists(rng):
 
 
 def test_triplet_label_contract_enforced():
-    vectors = np.eye(3)
+    distances = autodiff.sq_distances(np.eye(3))
     with pytest.raises(ValueError, match="labels differ"):
-        TripletBatch(vectors, np.array([0, 1, 2]), [(0, 1, 2)])
+        TripletBatch(distances, np.array([0, 1, 2]), [(0, 1, 2)])
     with pytest.raises(ValueError, match="share a label"):
-        TripletBatch(vectors, np.array([0, 0, 0]), [(0, 1, 2)])
+        TripletBatch(distances, np.array([0, 0, 0]), [(0, 1, 2)])
 
 
 def test_triplet_label_contract_names_first_bad_triplet():
-    vectors = np.eye(4)
+    distances = autodiff.sq_distances(np.eye(4))
     labels = np.array([0, 0, 1, 0])
     with pytest.raises(ValueError, match=r"triplet \(0,1,3\): anchor and negative"):
-        TripletBatch(vectors, labels, [(0, 1, 2), (0, 1, 3), (0, 2, 1)])
+        TripletBatch(distances, labels, [(0, 1, 2), (0, 1, 3), (0, 2, 1)])
     with pytest.raises(ValueError, match=r"triplet \(0,2,1\): anchor and positive"):
-        TripletBatch(vectors, labels, [(0, 1, 2), (0, 2, 1), (0, 1, 3)])
+        TripletBatch(distances, labels, [(0, 1, 2), (0, 2, 1), (0, 1, 3)])
 
 
 # ------------------------------------------------------------ standard loss
 
 def test_satisfied_margin_contributes_zero():
-    batch = _batch_from_distances([0.1], [0.9])
-    loss, grads = standard_triplet_loss(batch, alpha=0.5)
-    assert loss == 0.0
+    points, batch = _batch_from_distances([0.1], [0.9])
+    loss = triplet_loss(batch, LossConfig(mode="standard", alpha=0.5))
+    (grads,) = gradients(loss, [points])
+    assert float(loss.value) == 0.0
     assert np.all(grads == 0.0)
 
 
 def test_hinge_arithmetic():
-    batch = _batch_from_distances([0.5], [0.6])
-    loss, _ = standard_triplet_loss(batch, alpha=0.5)
+    _, batch = _batch_from_distances([0.5], [0.6])
+    loss = loss_of(batch, mode="standard", alpha=0.5)
     assert loss == pytest.approx(0.4, abs=1e-12)
 
 
 def test_standard_loss_gradients_match_finite_differences(rng):
-    pool = make_pool(rng, n=24)
-    batch = online_sample_triplets(pool, alpha=0.5)
+    vectors, labels = make_pool(rng, n=24)
+    points = Node(vectors)
+    config = LossConfig(mode="standard", alpha=0.5)
+    batch = mine(autodiff.sq_distances(points), labels, config)
     assert len(batch) > 0
-    loss, grads = standard_triplet_loss(batch, alpha=0.5)
-
-    vectors = batch.vectors
+    (grads,) = gradients(triplet_loss(batch, config), [points])
+    ai, pi, ni = batch.index.T
 
     def loss_value():
-        d_ap = ((vectors[[t[0] for t in batch.triplets]] -
-                 vectors[[t[1] for t in batch.triplets]]) ** 2).sum(axis=1)
-        d_an = ((vectors[[t[0] for t in batch.triplets]] -
-                 vectors[[t[2] for t in batch.triplets]]) ** 2).sum(axis=1)
+        d_ap = ((vectors[ai] - vectors[pi]) ** 2).sum(axis=1)
+        d_an = ((vectors[ai] - vectors[ni]) ** 2).sum(axis=1)
         return float(np.maximum(0.0, d_ap - d_an + 0.5).sum())
 
     fd = finite_difference(loss_value, vectors)
@@ -193,9 +197,9 @@ def test_standard_loss_gradients_match_finite_differences(rng):
 
 
 def test_standard_loss_empty_batch_rejected():
-    batch = TripletBatch(np.eye(2), np.array([0, 1]), [])
-    with pytest.raises(StateError):
-        standard_triplet_loss(batch, alpha=0.5)
+    batch = TripletBatch(autodiff.sq_distances(np.eye(2)), np.array([0, 1]), [])
+    with pytest.raises(StateError, match="standard triplet loss needs at least 1 triplets, got 0"):
+        triplet_loss(batch, LossConfig(mode="standard", alpha=0.5))
 
 
 # --------------------------------------------------------------- batch loss
@@ -203,8 +207,8 @@ def test_standard_loss_empty_batch_rejected():
 def test_batch_loss_beta_zero_reduces_to_mean_separation(rng):
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        batch = _batch_from_distances(rng.uniform(0, 2, size=n), rng.uniform(0, 2, size=n))
-        loss, _ = batch_triplet_loss(batch, alpha=0.5, beta=0.0)
+        _, batch = _batch_from_distances(rng.uniform(0, 2, size=n), rng.uniform(0, 2, size=n))
+        loss = loss_of(batch, alpha=0.5, beta=0.0)
         expected = batch.mu_ap - batch.mu_an + 0.5
         assert abs(loss - expected) <= 1e-12
 
@@ -212,44 +216,43 @@ def test_batch_loss_beta_zero_reduces_to_mean_separation(rng):
 def test_batch_loss_beta_one_is_pure_variance(rng):
     for _ in range(100):
         n = int(rng.integers(2, 9))
-        batch = _batch_from_distances(rng.uniform(0, 2, size=n), rng.uniform(0, 2, size=n))
-        loss, _ = batch_triplet_loss(batch, alpha=0.5, beta=1.0)
+        _, batch = _batch_from_distances(rng.uniform(0, 2, size=n), rng.uniform(0, 2, size=n))
+        loss = loss_of(batch, alpha=0.5, beta=1.0)
         assert abs(loss - (batch.var_ap + batch.var_an)) <= 1e-12
 
 
 def test_batch_loss_zero_variance_at_beta_one():
-    batch = _batch_from_distances([0.3, 0.3], [1.1, 1.1])
-    loss, _ = batch_triplet_loss(batch, alpha=0.5, beta=1.0)
+    _, batch = _batch_from_distances([0.3, 0.3], [1.1, 1.1])
+    loss = loss_of(batch, alpha=0.5, beta=1.0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_batch_loss_frozen_scalar_example():
     # d_ap {0.2, 0.4}, d_an {1.0, 1.2}, alpha 0.5, beta 0.7 ->
     # 0.3 * (0.3 - 1.1 + 0.5) + 0.7 * (0.01 + 0.01) = -0.076
-    batch = _batch_from_distances([0.2, 0.4], [1.0, 1.2])
-    loss, _ = batch_triplet_loss(batch, alpha=0.5, beta=0.7)
+    _, batch = _batch_from_distances([0.2, 0.4], [1.0, 1.2])
+    loss = loss_of(batch, alpha=0.5, beta=0.7)
     assert loss == pytest.approx(-0.076, abs=1e-12)
 
 
 def test_batch_loss_invariant_under_triplet_permutation(rng):
-    pool = make_pool(rng, n=20)
-    batch = online_sample_triplets(pool, alpha=0.5)
-    perm = list(batch.triplets)
+    vectors, labels = make_pool(rng, n=20)
+    batch = mine(autodiff.sq_distances(vectors), labels, LossConfig(alpha=0.5))
+    perm = rows(batch)
     rng.shuffle(perm)
-    shuffled = TripletBatch(batch.vectors, batch.labels, perm)
-    a, _ = batch_triplet_loss(batch, alpha=0.5, beta=0.7)
-    b, _ = batch_triplet_loss(shuffled, alpha=0.5, beta=0.7)
+    shuffled = TripletBatch(batch.distances, batch.labels, perm)
+    a = loss_of(batch, alpha=0.5, beta=0.7)
+    b = loss_of(shuffled, alpha=0.5, beta=0.7)
     assert abs(a - b) < 1e-12
 
 
 def test_batch_loss_gradients_match_finite_differences(rng):
-    pool = make_pool(rng, n=20)
-    batch = online_sample_triplets(pool, alpha=0.5)
-    loss, grads = batch_triplet_loss(batch, alpha=0.5, beta=0.7)
-    vectors = batch.vectors
-    ai = [t[0] for t in batch.triplets]
-    pi = [t[1] for t in batch.triplets]
-    ni = [t[2] for t in batch.triplets]
+    vectors, labels = make_pool(rng, n=20)
+    points = Node(vectors)
+    config = LossConfig(alpha=0.5, beta=0.7)
+    batch = mine(autodiff.sq_distances(points), labels, config)
+    (grads,) = gradients(triplet_loss(batch, config), [points])
+    ai, pi, ni = batch.index.T
 
     def loss_value():
         d_ap = ((vectors[ai] - vectors[pi]) ** 2).sum(axis=1)
@@ -262,9 +265,9 @@ def test_batch_loss_gradients_match_finite_differences(rng):
 
 
 def test_batch_loss_single_triplet_rejected():
-    batch = _batch_from_distances([0.2], [1.0])
-    with pytest.raises(ValueError, match="at least 2"):
-        batch_triplet_loss(batch, alpha=0.5, beta=0.7)
+    _, batch = _batch_from_distances([0.2], [1.0])
+    with pytest.raises(StateError, match="batch triplet loss needs at least 2 triplets, got 1"):
+        triplet_loss(batch, LossConfig(alpha=0.5, beta=0.7))
 
 
 # ------------------------------------------------------------ online mining
@@ -272,31 +275,35 @@ def test_batch_loss_single_triplet_rejected():
 def test_converged_pool_yields_empty_batch():
     up = unit([1.0, 0.0])
     down = unit([-1.0, 0.0])
-    pool = [Embedding(up, "a", 0), Embedding(up, "b", 0),
-            Embedding(down, "c", 1), Embedding(down, "d", 1)]
-    batch = online_sample_triplets(pool, alpha=0.5)
+    vectors = np.stack([up, up, down, down])
+    batch = mine(autodiff.sq_distances(vectors), np.array([0, 0, 1, 1]), LossConfig(alpha=0.5))
     assert len(batch) == 0
 
 
+# a pool is drawn from classes with two samples or more; fine-tuning refuses
+# a dataset that cannot give two such classes before it traces anything
+def _pool_composition_error(labels):
+    rng = np.random.default_rng(0)
+    images = [LabeledImage(pixels=rng.random((6, 6)), label=c, id=f"e{k}")
+              for k, c in enumerate(labels)]
+    with pytest.raises(StateError, match="two classes with two samples each"):
+        finetune(small_model(rng), Dataset(images=images, class_count=max(labels) + 1),
+                 LossConfig(), FinetuneSchedule(steps=1), rng)
+
+
 def test_singleton_classes_raise_composition_error():
-    pool = [Embedding(unit([1.0, 0.1]), "a", 0), Embedding(unit([0.9, 0.2]), "b", 1)]
-    with pytest.raises(ValueError, match="anchor-positive"):
-        online_sample_triplets(pool, alpha=0.5)
+    _pool_composition_error([0, 1])
 
 
 def test_single_class_pool_raises():
-    pool = [Embedding(unit([1.0, k * 0.1]), f"e{k}", 0) for k in range(3)]
-    with pytest.raises(ValueError, match="two classes"):
-        online_sample_triplets(pool, alpha=0.5)
+    _pool_composition_error([0, 0, 0])
 
 
 def test_online_selection_equals_exhaustive_enumeration(rng):
-    pool = make_pool(rng, n=32, classes=4)
-    batch = online_sample_triplets(pool, alpha=0.5)
-    vectors = np.stack([e.vector for e in pool])
-    labels = np.array([e.label for e in pool])
+    vectors, labels = make_pool(rng, n=32, classes=4)
+    batch = mine(autodiff.sq_distances(vectors), labels, LossConfig(alpha=0.5))
     expected = violating_triplets_loops(vectors, labels, 0.5)
-    assert set(batch.triplets) == expected
+    assert set(rows(batch)) == expected
 
 
 @st.composite
@@ -315,7 +322,7 @@ def _tie_prone_pools(draw):
 def test_miner_equals_ordered_oracle(pool, alpha, online):
     vectors, labels = pool
     distances = autodiff.sq_distances(vectors)
-    mined = metric._mine(distances, labels, alpha, online, None, None).index
+    mined = mine(distances, labels, LossConfig(alpha=alpha, online=online)).index
     assert mined.shape == (len(mined), 3)
     assert [tuple(t) for t in mined.tolist()] == violating_triplets_ordered_loops(
         vectors, labels, alpha, online)
@@ -334,16 +341,16 @@ def test_finetune_cap_selects_oracle_triplets(monkeypatch, online):
         steps.append({"vectors": z.value.copy()})
         return z
 
-    def recording_mine(distances, labels, alpha, *, online):
+    def recording_violators(distances, labels, alpha, *, online):
         steps[-1].update(labels=labels.copy(), state=rng.bit_generator.state)
         return mine(distances, labels, alpha, online=online)
 
     def recording_build(batch, alpha, beta):
-        steps[-1]["used"] = batch.triplets
+        steps[-1]["used"] = rows(batch)
         return build(batch, alpha, beta)
 
     monkeypatch.setattr(metric, "l2_normalize", recording_normalize)
-    monkeypatch.setattr(metric, "_violating_triplets", recording_mine)
+    monkeypatch.setattr(metric, "_violating_triplets", recording_violators)
     monkeypatch.setattr(metric, "batch_loss_node", recording_build)
     cap = 32
     finetune(small_model(np.random.default_rng(2)), _tiny_dataset(seed=3),
@@ -380,15 +387,15 @@ def test_finetune_builds_one_distance_matrix_per_step(monkeypatch, mode, online)
 
 
 def test_max_triplets_cap_is_seeded_subsample(rng):
-    pool = make_pool(rng, n=32, classes=4)
-    full = online_sample_triplets(pool, alpha=0.5)
-    capped = online_sample_triplets(pool, alpha=0.5, max_triplets=10,
-                                    rng=np.random.default_rng(3))
-    again = online_sample_triplets(pool, alpha=0.5, max_triplets=10,
-                                   rng=np.random.default_rng(3))
+    vectors, labels = make_pool(rng, n=32, classes=4)
+    distances = autodiff.sq_distances(vectors)
+    full = mine(distances, labels, LossConfig(alpha=0.5))
+    capped_config = LossConfig(alpha=0.5, max_triplets=10)
+    capped = mine(distances, labels, capped_config, np.random.default_rng(3))
+    again = mine(distances, labels, capped_config, np.random.default_rng(3))
     assert len(capped) == 10
-    assert capped.triplets == again.triplets
-    assert set(capped.triplets) <= set(full.triplets)
+    assert rows(capped) == rows(again)
+    assert set(rows(capped)) <= set(rows(full))
 
 
 # ------------------------------------------------------------- decidability
@@ -420,6 +427,16 @@ def test_decidability_undefined_for_constant_lists():
 def test_decidability_needs_two_scores():
     with pytest.raises(ValueError, match="two scores"):
         decidability([1.0], [2.0, 3.0])
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"alpha": float("nan")}, "alpha must be at least 0, got nan"),
+    ({"max_triplets": float("nan")}, "max_triplets must be at least 1, got nan"),
+])
+def test_loss_config_refuses_nan(fields, message):
+    # NaN fails every comparison; a NaN alpha would mine no triplet at any step
+    with pytest.raises(ValueError, match=message):
+        LossConfig(**fields)
 
 
 # ----------------------------------------------------------------- finetune
