@@ -28,6 +28,7 @@ import numpy as np
 from . import evaluation, metric, occlusion
 from .atomic import atomic_write
 from .config import ExperimentConfig
+from .data import save_pgm
 from .engine import checkpoint as ckpt
 from .engine.model import init_model
 from .engine.train import train_accuracy, train_classifier
@@ -158,7 +159,7 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
         workers=workers)
     mean_acc, std = evaluation.map_accuracy_stats(occ_map)
     occlusion.save_map_csv(occ_map, out / "map.csv")
-    occlusion.save_map_pgm(occ_map, out / "map.pgm")
+    save_pgm(occ_map.grid, out / "map.pgm")
     _write_json(out / "map_stats.json", {
         "mean_accuracy": mean_acc,
         "std": std,

@@ -1,12 +1,14 @@
 """Occluder synthesis, occlusion maps, and guided augmentation.
 
-The sensitivity probe works on classification error: slide an occluding
-patch over every location of a correctly-classified image, mark the
-locations whose occlusion flips the prediction (binary map), average the
-binary maps over many images (aggregate map), and turn the aggregate into
-an occluder placement distribution with a temperature softmax. Training
-batches are then augmented with occluders sampled from that distribution,
-or from a center-weighted normal for the unguided baseline scheme.
+The sensitivity probe works on classification error. One function does
+each step. :func:`dataset_occlusion_map` slides an occluding patch over
+every location of each correctly classified image, marks the locations
+whose occlusion flips the prediction (a binary map per image, Zeiler &
+Fergus, ECCV 2014), and averages those maps. :func:`placement_distribution`
+turns the average into an occluder placement distribution with a
+temperature softmax, and :func:`occlude_fraction` augments training
+batches with occluders placed from it, or from a center-weighted normal
+for the unguided baseline scheme.
 
 Patch anchoring: a patch of size (h, w) "centered" at (i, j) occupies rows
 [i - floor(h/2), i + ceil(h/2) - 1] and columns likewise, clipped to the
@@ -39,12 +41,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atomic import atomic_write
-from .data import LabeledImage, save_pgm
+from .data import LabeledImage
 from .engine.model import Conv, Model, Relu, apply_layer, forward, spatial_depth, walk_blocks
 from .errors import FormatError, ProtocolError
 from .validation import as_rng, at_least, check_outputs, from_section
@@ -77,8 +80,8 @@ class OccluderSpec:
             raise ValueError(f"intensity_range must satisfy 0 <= lo <= hi <= 1, got {self.intensity_range}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, got {self.noise_model!r}")
-        if self.noise_level is not None and self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        if self.noise_level is not None:
+            at_least(0, noise_level=self.noise_level)
 
     @classmethod
     def from_config(cls, cfg) -> "OccluderSpec":
@@ -95,13 +98,6 @@ def default_occluders(image_size: int, **overrides) -> dict[str, OccluderSpec]:
         "medium": OccluderSpec(height=a, width=b, **overrides),
         "large": OccluderSpec(height=b, width=b, **overrides),
     }
-
-
-@dataclass(frozen=True)
-class BinaryOcclusionMap:
-    grid: np.ndarray            # (H, W) values exactly 0.0 or 1.0
-    image_id: str
-    occluder_shape: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -152,16 +148,6 @@ def make_occluder(spec: OccluderSpec, rng) -> np.ndarray:
     return np.clip(patch, 0.0, 1.0)
 
 
-def patch_bounds(center: tuple[int, int], shape: tuple[int, int],
-                 bounds: tuple[int, int]) -> tuple[int, int, int, int]:
-    """Clipped (row0, row1, col0, col1) footprint of a patch centered at (i, j)."""
-    i, j = center
-    h, w = shape
-    r0, r1 = i - h // 2, i + (h + 1) // 2
-    c0, c1 = j - w // 2, j + (w + 1) // 2
-    return max(r0, 0), min(r1, bounds[0]), max(c0, 0), min(c1, bounds[1])
-
-
 def apply_occluder(image: np.ndarray, patch: np.ndarray,
                    center: tuple[int, int]) -> np.ndarray:
     """Overlay a patch centered at (i, j); out-of-bounds parts are clipped."""
@@ -170,15 +156,15 @@ def apply_occluder(image: np.ndarray, patch: np.ndarray,
     i, j = center
     if not (0 <= i < h and 0 <= j < w):
         raise ValueError(f"occluder center {center} outside {h}x{w} image")
-    r0, r1, c0, c1 = patch_bounds(center, patch.shape, (h, w))
+    top, left = i - patch.shape[0] // 2, j - patch.shape[1] // 2
+    r0, r1 = max(top, 0), min(top + patch.shape[0], h)
+    c0, c1 = max(left, 0), min(left + patch.shape[1], w)
     out = image.copy()
-    pr0 = r0 - (i - patch.shape[0] // 2)
-    pc0 = c0 - (j - patch.shape[1] // 2)
-    out[r0:r1, c0:c1] = patch[pr0:pr0 + (r1 - r0), pc0:pc0 + (c1 - c0)]
+    out[r0:r1, c0:c1] = patch[r0 - top:r1 - top, c0 - left:c1 - left]
     return out
 
 
-# ---------------------------------------------------------- binary maps
+# -------------------------------------------------------- occlusion maps
 
 def _splice(base: np.ndarray, start: np.ndarray, size, values: np.ndarray,
             vstart: np.ndarray) -> np.ndarray:
@@ -273,53 +259,17 @@ def _scan_grid(model: Model, pixels: np.ndarray, label: int, patch: np.ndarray,
     return blocks[:h, :w]
 
 
-def binary_occlusion_map(model: Model, image: LabeledImage, spec: OccluderSpec,
-                         rng, *, stride: int = 1, patch: np.ndarray | None = None
-                         ) -> BinaryOcclusionMap:
-    """Per-location misclassification indicator for one image.
-
-    One fresh patch is sampled per image and reused at every location, so
-    the map reflects position sensitivity, not per-position noise draws.
-    The image must be classified correctly before occlusion.
-    """
-    at_least(1, stride=stride)
-    pixels = image.pixels
-    unoccluded = np.argmax(forward(model, pixels[np.newaxis, :, :, np.newaxis]), axis=1)[0]
-    if unoccluded != image.label:
-        raise ValueError(f"image {image.id!r} is misclassified without occlusion "
-                         f"(predicted {unoccluded}, label {image.label}); "
-                         "occlusion maps are defined on correctly classified images")
-    if patch is None:
-        patch = make_occluder(spec, rng)
-    grid = _scan_grid(model, pixels, image.label, patch, stride)
-    return BinaryOcclusionMap(grid=grid, image_id=image.id,
-                              occluder_shape=(spec.height, spec.width))
-
-
-def aggregate_map(maps: list[BinaryOcclusionMap]) -> OcclusionMap:
-    """Cellwise mean of binary maps from a common occluder shape."""
-    if not maps:
-        raise ValueError("cannot aggregate an empty list of maps")
-    shape = maps[0].grid.shape
-    occ_shape = maps[0].occluder_shape
-    for m in maps[1:]:
-        if m.grid.shape != shape or m.occluder_shape != occ_shape:
-            raise ValueError("all maps must share grid shape and occluder shape")
-    grid = np.zeros(shape)
-    for m in maps:
-        grid += m.grid
-    return OcclusionMap(grid=grid / len(maps), sample_count=len(maps),
-                        occluder_shape=occ_shape)
-
-
 def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: OccluderSpec,
                           rng, *, stride: int = 1, limit: int | None = None,
                           workers: int = 1) -> tuple[OcclusionMap, dict]:
-    """Aggregate map over the correctly-classified subset of ``images``.
+    """Mean of the binary maps of the correctly classified ``images``.
 
     Misclassified images are skipped (and counted); at most ``limit``
-    correctly-classified images are used, in input order. Patches are
-    pre-sampled sequentially so results do not depend on ``workers``.
+    correctly classified images are used, in input order. One patch is
+    drawn per used image, in order, and reused at every location, so a map
+    reflects position sensitivity, not per-position noise draws. Patches
+    are drawn before any scan, so results do not depend on ``workers``; the
+    map of one image drawn with ``rng`` uses ``make_occluder(spec, rng)``.
     """
     at_least(1, workers=workers, stride=stride)
     if limit is not None:
@@ -349,12 +299,12 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     else:
         grids = [one(pair) for pair in zip(selected, patches)]
 
-    binary = [BinaryOcclusionMap(grid=g, image_id=im.id,
-                                 occluder_shape=(spec.height, spec.width))
-              for g, im in zip(grids, selected)]
+    # every cell is 0.0 or 1.0, so the sum is exact
+    occ_map = OcclusionMap(grid=sum(grids) / len(grids), sample_count=len(grids),
+                           occluder_shape=(spec.height, spec.width))
     info = {"used": len(selected), "excluded": excluded,
             "image_ids": [im.id for im in selected]}
-    return aggregate_map(binary), info
+    return occ_map, info
 
 
 # ------------------------------------------------- placement distribution
@@ -362,18 +312,12 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
 def placement_distribution(occ_map: OcclusionMap, temperature: float) -> PlacementDistribution:
     """Temperature softmax over map cells; low temperature sharpens onto
     high-error regions, high temperature approaches uniform."""
-    if temperature <= 0:
+    if not temperature > 0:     # NaN included
         raise ValueError("temperature must be positive")
     logits = occ_map.grid / temperature
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return PlacementDistribution(probs=e / e.sum(), temperature=float(temperature))
-
-
-def sample_location(dist: PlacementDistribution, rng) -> tuple[int, int]:
-    """Inverse-CDF draw over the row-major flattening of the grid."""
-    i, j = sample_locations(dist, rng, 1)[0]
-    return int(i), int(j)
 
 
 def sample_locations(dist: PlacementDistribution, rng, n: int) -> np.ndarray:
@@ -402,19 +346,34 @@ def _normal_location(shape: tuple[int, int], rng) -> tuple[int, int]:
 
 def occlude_fraction(images: np.ndarray, fraction: float, placement,
                      spec: OccluderSpec, rng) -> np.ndarray:
-    """Occlude the leading ceil(fraction * N) images of a batch.
+    """Occlude the leading ceil(fraction * N) images of an (N, H, W) batch once each.
 
-    Training batches are already seeded permutations, so which images get
-    occluded varies per batch with no extra randomness. fraction=1 reduces
-    to :func:`augment_batch`; a lower fraction keeps clean images in every
-    batch, preventing the model from forgetting unoccluded inputs.
+    ``placement`` is a :class:`PlacementDistribution` or the string
+    ``"random"`` for the unguided baseline. Per image the draw order is:
+    location, then patch. Training batches are already seeded permutations,
+    so which images get occluded varies per batch with no extra randomness;
+    a fraction below 1 keeps clean images in every batch, preventing the
+    model from forgetting unoccluded inputs.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     images = np.asarray(images, dtype=np.float64)
-    k = int(np.ceil(fraction * len(images)))
+    if images.ndim != 3:
+        raise ValueError(f"expected (N, H, W) batch, got shape {images.shape}")
+    rng = as_rng(rng)
+    n, h, w = images.shape
+    guided = isinstance(placement, PlacementDistribution)
+    if guided:
+        if placement.probs.shape != (h, w):
+            raise ValueError(f"placement grid {placement.probs.shape} does not match "
+                             f"image shape {(h, w)}")
+    elif placement != "random":
+        raise ValueError("placement must be a PlacementDistribution or 'random'")
+
     out = images.copy()
-    out[:k] = augment_batch(images[:k], placement, spec, rng)
+    for k in range(int(np.ceil(fraction * n))):
+        center = sample_locations(placement, rng, 1)[0] if guided else _normal_location((h, w), rng)
+        out[k] = apply_occluder(images[k], make_occluder(spec, rng), center)
     return out
 
 
@@ -424,36 +383,6 @@ def augmenter(fraction: float, placement, spec: OccluderSpec):
     def augment(images, rng):
         return occlude_fraction(images, fraction, placement, spec, rng)
     return augment
-
-
-def augment_batch(images: np.ndarray, placement, spec: OccluderSpec, rng) -> np.ndarray:
-    """Occlude every image in an (N, H, W) batch exactly once.
-
-    ``placement`` is a :class:`PlacementDistribution` or the string
-    ``"random"`` for the unguided baseline. Per image the draw order is:
-    location, then patch.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 3:
-        raise ValueError(f"expected (N, H, W) batch, got shape {images.shape}")
-    rng = as_rng(rng)
-    n, h, w = images.shape
-    if isinstance(placement, PlacementDistribution):
-        if placement.probs.shape != (h, w):
-            raise ValueError(f"placement grid {placement.probs.shape} does not match "
-                             f"image shape {(h, w)}")
-    elif placement != "random":
-        raise ValueError("placement must be a PlacementDistribution or 'random'")
-
-    out = np.empty_like(images)
-    for k in range(n):
-        if isinstance(placement, PlacementDistribution):
-            center = sample_location(placement, rng)
-        else:
-            center = _normal_location((h, w), rng)
-        patch = make_occluder(spec, rng)
-        out[k] = apply_occluder(images[k], patch, center)
-    return out
 
 
 # ----------------------------------------------------------- persistence
@@ -466,21 +395,18 @@ def save_map_csv(occ_map: OcclusionMap, path) -> None:
 
 def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),
                  sample_count: int = 1) -> OcclusionMap:
-    try:
-        grid = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: not a numeric CSV grid ({exc})") from exc
+    grid = np.empty((0, 0))
+    if Path(path).read_bytes().strip():     # numpy warns on a file with no data
+        try:
+            grid = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: not a numeric CSV grid ({exc})") from exc
     bad = np.argwhere(~((grid >= 0.0) & (grid <= 1.0)))    # NaN fails both tests
     if grid.size == 0 or len(bad):
         where = "cell ({}, {}) is {}".format(*bad[0], grid[tuple(bad[0])]) if len(bad) else "no cells"
         raise FormatError(f"{path}: {where}; map cells must be finite and lie in [0, 1]")
     return OcclusionMap(grid=grid, sample_count=sample_count,
                         occluder_shape=occluder_shape)
-
-
-def save_map_pgm(occ_map: OcclusionMap, path) -> None:
-    """Grayscale rendering (cell * 255, rounded) for visual inspection."""
-    save_pgm(occ_map.grid, path)
 
 
 # ------------------------------------------------------------- analysis

@@ -44,7 +44,6 @@ from otlab.metric import (
 from otlab.occlusion import (
     OccluderSpec,
     OcclusionMap,
-    binary_occlusion_map,
     dataset_occlusion_map,
     default_occluders,
     make_occluder,
@@ -308,7 +307,8 @@ def test_criterion_3_oracle_equivalence():
         checked += 1
         occ = OccluderSpec(3, 2)
         patch = make_occluder(occ, np.random.default_rng(checked))
-        result = binary_occlusion_map(model8, image, occ, None, patch=patch)
+        # the one-image map draws that same patch first
+        result, _ = dataset_occlusion_map(model8, [image], occ, np.random.default_rng(checked))
         expected = binary_map_loops(
             lambda img: predict(model8, img[None, :, :, None])[0],
             image.pixels, image.label, patch)

@@ -27,9 +27,11 @@ import otlab.evaluation  # noqa: E402
 import otlab.metric  # noqa: E402
 import otlab.occlusion  # noqa: E402
 from otlab.config import ExperimentConfig  # noqa: E402
-from otlab.data import SyntheticSpec, generate_synthetic  # noqa: E402
+from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic  # noqa: E402
 from otlab.engine.model import default_architecture, forward, init_model, trace  # noqa: E402
+from otlab.engine.train import Schedule  # noqa: E402
 from otlab.metric import FinetuneSchedule, LossConfig  # noqa: E402
+from otlab.occlusion import OccluderSpec  # noqa: E402
 
 
 def _namespaces():
@@ -91,3 +93,37 @@ def test_probes_time_each_finetune_phase_once_per_update(rng, mode):
     phases = ("metric.mine", "metric.batch_stats", "metric.loss_build",
               "engine.trace", "engine.backward", "engine.sgd")
     assert {name: counts[name] for name in phases} == dict.fromkeys(phases, 3)
+
+
+def test_probes_count_one_augment_span_per_training_step(rng):
+    # the augmenter is built before the probes go in, so it must look up
+    # occlude_fraction each time it augments a batch
+    dataset = generate_synthetic(SyntheticSpec(class_count=3, samples_per_class=6,
+                                               image_size=8, seed=0))
+    model = init_model(default_architecture(8, 3), rng)
+    augment = otlab.occlusion.augmenter(0.5, "random", OccluderSpec(2, 2))
+    tracer, patcher = Tracer(), Patcher()
+    try:
+        probes.install(tracer, patcher)
+        otlab.engine.train.train_classifier(model, dataset, Schedule(steps=4, batch_size=6),
+                                            rng, augment=augment)
+    finally:
+        patcher.restore()
+    assert Counter(span.name for span in tracer.spans)["occlusion.augment"] == 4
+
+
+def test_probes_count_one_map_span_and_one_scan_per_image(rng):
+    # labels are the model's own predictions, so every image is scanned
+    model = init_model(default_architecture(8, 3), rng)
+    pixels = rng.random((4, 8, 8))
+    labels = np.argmax(forward(model, pixels[..., np.newaxis]), axis=1)
+    images = [LabeledImage(pixels=p, label=int(lab), id=str(k))
+              for k, (p, lab) in enumerate(zip(pixels, labels))]
+    tracer, patcher = Tracer(), Patcher()
+    try:
+        probes.install(tracer, patcher)
+        otlab.occlusion.dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng)
+    finally:
+        patcher.restore()
+    counts = Counter(span.name for span in tracer.spans)
+    assert (counts["occlusion.map"], counts["occlusion.scan"]) == (1, 4)

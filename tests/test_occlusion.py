@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,24 +12,20 @@ from otlab.engine import Schedule, init_model, ops, predict, train_classifier
 from otlab.engine.model import INFERENCE_ROWS, Dense, Model, default_architecture, forward
 from otlab.errors import ConfigError, FormatError, ProtocolError
 from otlab.occlusion import (
-    BinaryOcclusionMap,
     OccluderSpec,
     OcclusionMap,
     PlacementDistribution,
     _scan_grid,
     _scan_logits,
     _splice,
-    aggregate_map,
     apply_occluder,
-    augment_batch,
-    binary_occlusion_map,
     dataset_occlusion_map,
     default_occluders,
     load_map_csv,
     make_occluder,
+    occlude_fraction,
     placement_distribution,
     point_in_rect,
-    sample_location,
     sample_locations,
     save_map_csv,
     top_decile_centroid,
@@ -79,6 +77,12 @@ def test_same_rng_state_replays_patch():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("level", [-1.0, float("nan")])
+def test_occluder_spec_rejects_negative_or_nan_noise_level(level):
+    with pytest.raises(ValueError, match="noise_level must be at least 0"):
+        OccluderSpec(2, 2, noise_model="gaussian", noise_level=level)
+
+
 def test_default_occluders_scale_with_image():
     sizes = {k: (v.height, v.width) for k, v in default_occluders(32).items()}
     assert sizes == {"small": (6, 6), "medium": (6, 13), "large": (13, 13)}
@@ -128,7 +132,7 @@ def test_center_outside_image_rejected():
         apply_occluder(np.ones((4, 4)), np.zeros((2, 2)), (4, 0))
 
 
-# ------------------------------------------------------------ binary maps
+# --------------------------------------------------------- one-image maps
 
 def _constant_model(pixels_shape, always=0, classes=2):
     h, w = pixels_shape
@@ -139,10 +143,15 @@ def _constant_model(pixels_shape, always=0, classes=2):
                  {"dense1.weight": weight, "dense1.bias": bias})
 
 
+def _image_map(model, image, spec, rng, stride=1):
+    """The map of one image: its binary map."""
+    return dataset_occlusion_map(model, [image], spec, rng, stride=stride)[0]
+
+
 def test_input_blind_model_gives_zero_map(rng):
     model = _constant_model((5, 5), always=1)
     image = LabeledImage(pixels=rng.random((5, 5)), label=1, id="x")
-    result = binary_occlusion_map(model, image, OccluderSpec(2, 2), rng)
+    result = _image_map(model, image, OccluderSpec(2, 2), rng)
     np.testing.assert_array_equal(result.grid, np.zeros((5, 5)))
 
 
@@ -154,17 +163,10 @@ def test_single_pixel_model_flags_covering_positions(rng):
                   {"dense1.weight": weight, "dense1.bias": np.array([0.0, 0.5])})
     image = LabeledImage(pixels=np.ones((4, 4)), label=0, id="p")
     spec = OccluderSpec(2, 2, intensity_range=(0.0, 0.0), noise_model="none")
-    result = binary_occlusion_map(model, image, spec, rng)
+    result = _image_map(model, image, spec, rng)
     expected = np.zeros((4, 4))
     expected[0:2, 0:2] = 1.0     # the four centers whose footprint covers (0,0)
     np.testing.assert_array_equal(result.grid, expected)
-
-
-def test_misclassified_image_rejected(rng):
-    model = _constant_model((4, 4), always=1)
-    image = LabeledImage(pixels=rng.random((4, 4)), label=0, id="m")
-    with pytest.raises(ValueError, match="misclassified"):
-        binary_occlusion_map(model, image, OccluderSpec(2, 2), rng)
 
 
 def test_binary_map_matches_position_sweep_oracle():
@@ -184,7 +186,7 @@ def test_binary_map_matches_position_sweep_oracle():
 
     occ = OccluderSpec(3, 2, noise_model="random")
     patch = make_occluder(occ, np.random.default_rng(5))
-    result = binary_occlusion_map(model, image, occ, None, patch=patch)
+    result = _image_map(model, image, occ, np.random.default_rng(5))    # draws that patch
 
     def predict_one(img):
         return predict(model, img[None, :, :, None])[0]
@@ -201,8 +203,8 @@ def test_stride_fills_blocks_with_scanned_value(rng):
                   {"dense1.weight": weight, "dense1.bias": np.array([0.0, 0.5])})
     image = LabeledImage(pixels=np.ones((4, 4)), label=0, id="s")
     spec = OccluderSpec(2, 2, intensity_range=(0.0, 0.0), noise_model="none")
-    coarse = binary_occlusion_map(model, image, spec, rng, stride=2)
-    fine = binary_occlusion_map(model, image, spec, rng, stride=1)
+    coarse = _image_map(model, image, spec, rng, stride=2)
+    fine = _image_map(model, image, spec, rng, stride=1)
     assert coarse.grid.shape == (4, 4)
     # scanned positions agree with the exact map; blocks repeat their value
     for i in (0, 2):
@@ -330,38 +332,50 @@ def test_scan_recomputes_only_windows(monkeypatch):
 
 # -------------------------------------------------------------- aggregate
 
-def _bmap(grid):
-    return BinaryOcclusionMap(grid=np.asarray(grid, dtype=np.float64),
-                              image_id="x", occluder_shape=(2, 2))
+def _map_of_grids(monkeypatch, grids):
+    """``dataset_occlusion_map`` over one correctly classified image per grid,
+    with each image's scan replaced by its grid."""
+    scans = iter(np.asarray(g, dtype=np.float64) for g in grids)
+    monkeypatch.setattr(occlusion, "_scan_grid", lambda *args: next(scans))
+    shape = np.shape(grids[0])
+    images = [LabeledImage(pixels=np.zeros(shape), label=0, id=str(k)) for k in range(len(grids))]
+    occ_map, _ = dataset_occlusion_map(_constant_model(shape), images, OccluderSpec(2, 2), 0)
+    return occ_map
 
 
-def test_aggregate_of_zero_maps_is_zero():
-    maps = [_bmap(np.zeros((3, 3))) for _ in range(4)]
-    agg = aggregate_map(maps)
+def test_aggregate_of_zero_maps_is_zero(monkeypatch):
+    agg = _map_of_grids(monkeypatch, [np.zeros((3, 3)) for _ in range(4)])
     np.testing.assert_array_equal(agg.grid, np.zeros((3, 3)))
     assert agg.sample_count == 4
 
 
-def test_aggregate_complementary_maps_is_half():
+def test_aggregate_complementary_maps_is_half(monkeypatch):
     a = np.zeros((4, 4))
     a[::2] = 1.0
-    agg = aggregate_map([_bmap(a), _bmap(1.0 - a)])
+    agg = _map_of_grids(monkeypatch, [a, 1.0 - a])
     np.testing.assert_array_equal(agg.grid, np.full((4, 4), 0.5))
 
 
-def test_aggregate_matches_second_pass_mean(rng):
-    grids = [(rng.random((5, 5)) > 0.5).astype(float) for _ in range(50)]
-    agg = aggregate_map([_bmap(g) for g in grids])
-    expected = np.zeros((5, 5))
-    for g in grids:
-        expected += g
-    expected /= len(grids)
-    np.testing.assert_allclose(agg.grid, expected, atol=1e-15)
-
-
-def test_aggregate_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="share"):
-        aggregate_map([_bmap(np.zeros((3, 3))), _bmap(np.zeros((4, 4)))])
+def test_aggregate_matches_second_pass_mean():
+    # labels are the model's own predictions, so every image is used
+    model = init_model(default_architecture(8, 3), np.random.default_rng(3))
+    pixels = np.random.default_rng(4).random((5, 8, 8))
+    labels = np.argmax(forward(model, pixels[..., np.newaxis]), axis=1)
+    images = [LabeledImage(pixels=p, label=int(lab), id=str(k))
+              for k, (p, lab) in enumerate(zip(pixels, labels))]
+    spec = OccluderSpec(3, 3)
+    for stride in (1, 2):
+        agg, info = dataset_occlusion_map(model, images, spec, np.random.default_rng(9),
+                                          stride=stride)
+        assert info["used"] == agg.sample_count == 5
+        rng = np.random.default_rng(9)
+        patches = [make_occluder(spec, rng) for _ in images]    # drawn in order
+        expected = np.zeros((8, 8))
+        for im, patch in zip(images, patches):
+            expected += _scan_grid(model, im.pixels, im.label, patch, stride)
+        expected /= len(images)
+        assert 0.0 < expected.mean() < 1.0
+        np.testing.assert_array_equal(agg.grid, expected)
 
 
 def test_dataset_map_excludes_misclassified(rng):
@@ -465,8 +479,9 @@ def test_placement_invariant_to_constant_shift(shift):
 
 
 def test_nonpositive_temperature_rejected():
-    with pytest.raises(ValueError, match="temperature"):
-        placement_distribution(_omap(np.zeros((2, 2))), 0.0)
+    for temperature in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="temperature"):
+            placement_distribution(_omap(np.zeros((2, 2))), temperature)
 
 
 # ---------------------------------------------------------------- sampling
@@ -475,15 +490,7 @@ def test_degenerate_distribution_always_returns_that_cell(rng):
     probs = np.zeros((3, 3))
     probs[1, 2] = 1.0
     dist = PlacementDistribution(probs=probs, temperature=1.0)
-    assert all(sample_location(dist, rng) == (1, 2) for _ in range(20))
-
-
-def test_single_and_batch_sampling_agree():
-    dist = placement_distribution(_omap(np.linspace(0, 1, 16).reshape(4, 4)), 0.4)
-    singles = [sample_location(dist, np.random.default_rng(k)) for k in range(10)]
-    batched = [tuple(sample_locations(dist, np.random.default_rng(k), 1)[0])
-               for k in range(10)]
-    assert singles == batched
+    np.testing.assert_array_equal(sample_locations(dist, rng, 20), np.tile([1, 2], (20, 1)))
 
 
 def test_uniform_sampling_frequencies():
@@ -510,7 +517,7 @@ def test_augment_with_deterministic_patch_and_center():
     dist = PlacementDistribution(probs=probs, temperature=1.0)
     spec = OccluderSpec(2, 2, intensity_range=(0.0, 0.0), noise_model="none")
     images = np.ones((5, 6, 6))
-    out = augment_batch(images, dist, spec, np.random.default_rng(0))
+    out = occlude_fraction(images, 1.0, dist, spec, np.random.default_rng(0))
     for k in range(5):
         assert (out[k] == 0.0).sum() == 4
         np.testing.assert_array_equal(out[k][2:4, 2:4], np.zeros((2, 2)))
@@ -519,28 +526,28 @@ def test_augment_with_deterministic_patch_and_center():
 
 def test_augment_empty_batch():
     dist = PlacementDistribution(probs=np.full((4, 4), 1 / 16), temperature=1.0)
-    out = augment_batch(np.empty((0, 4, 4)), dist, OccluderSpec(2, 2), 0)
+    out = occlude_fraction(np.empty((0, 4, 4)), 1.0, dist, OccluderSpec(2, 2), 0)
     assert out.shape == (0, 4, 4)
 
 
 def test_augment_replays_bit_identically(rng):
     images = rng.random((8, 10, 10))
     spec = OccluderSpec(3, 3)
-    a = augment_batch(images, "random", spec, np.random.default_rng(7))
-    b = augment_batch(images, "random", spec, np.random.default_rng(7))
+    a = occlude_fraction(images, 1.0, "random", spec, np.random.default_rng(7))
+    b = occlude_fraction(images, 1.0, "random", spec, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
 def test_augment_shape_mismatch_rejected(rng):
     dist = PlacementDistribution(probs=np.full((4, 4), 1 / 16), temperature=1.0)
     with pytest.raises(ValueError, match="does not match"):
-        augment_batch(rng.random((2, 5, 5)), dist, OccluderSpec(2, 2), rng)
+        occlude_fraction(rng.random((2, 5, 5)), 1.0, dist, OccluderSpec(2, 2), rng)
 
 
 def test_augment_random_mode_occludes_every_image(rng):
     images = np.ones((20, 8, 8))
     spec = OccluderSpec(3, 3, intensity_range=(0.0, 0.0), noise_model="none")
-    out = augment_batch(images, "random", spec, rng)
+    out = occlude_fraction(images, 1.0, "random", spec, rng)
     for k in range(20):
         assert (out[k] == 0.0).any()
 
@@ -564,11 +571,14 @@ def test_map_csv_round_trip(tmp_path, rng):
     ("0.1,inf\n0.2,0.3\n", "cell (0, 1) is inf"),
     ("0.1,1.5\n-0.2,0.3\n", "cell (0, 1) is 1.5"),
     ("0.1,x\n", "not a numeric CSV grid"),
+    ("", "no cells"),
+    ("\n\n", "no cells"),
 ])
 def test_map_csv_rejects_unusable_cells(tmp_path, text, detail):
     path = tmp_path / "map.csv"
     path.write_text(text)
-    with pytest.raises(FormatError) as info:
+    with warnings.catch_warnings(), pytest.raises(FormatError) as info:
+        warnings.simplefilter("error")
         load_map_csv(path)
     assert str(path) in str(info.value)
     assert detail in str(info.value)
