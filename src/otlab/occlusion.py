@@ -24,12 +24,14 @@ with window w gives lo // w and (s + w - 2) // w + 1, the most pooled cells
 s consecutive inputs can reach (inputs in the cropped tail reach none).
 Each layer recomputes the window [lo, lo + s), clipped to its output and
 moved inward at the far border, from its clean input with the previous
-window spliced in, using the same kernels as a full forward. A splice
-gathers the clean regions through one sliding-window view and lays the
-windows over them with one slice assignment per distinct offset of a
-window inside its region; offsets differ only where a window was moved
-inward at a border, so many positions share each. The last window is
-spliced into the clean features and the dense head walks them in the
+window spliced in, using the same kernels as a full forward. All of this
+is computed per axis, so the positions of an ``INFERENCE_ROWS``-row block
+form at most three rectangles of scan rows by scan columns. Per rectangle,
+a splice gathers the clean regions through one sliding-window view, indexed
+by the rows' starts crossed with the columns', and lays the windows over
+them with one slice assignment per pair of a run of rows and a run of
+columns that share the window's offset inside its region. The last window
+is spliced into the clean features and the dense head walks them in the
 same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
 has the same inputs and kernel as in the full forward, and the logits are
 bit-identical to it wherever the BLAS rounds a GEMM row independently of
@@ -166,85 +168,153 @@ def apply_occluder(image: np.ndarray, patch: np.ndarray,
 
 # -------------------------------------------------------- occlusion maps
 
-def _splice(base: np.ndarray, start: np.ndarray, size, values: np.ndarray,
-            vstart: np.ndarray) -> np.ndarray:
-    """Per-position crops of a clean (H, W, C) tensor with recomputed cells laid over.
+def _splice(base: np.ndarray, values: np.ndarray, rows, cols) -> np.ndarray:
+    """Crops of a clean (H, W, channels) tensor over a grid of scan positions,
+    with recomputed cells laid over.
 
-    Position n gets ``base[start[n] + (0..size)]``; wherever the (n, A, B, C)
-    ``values`` block, whose top-left cell sits at ``vstart[n]``, covers a cell
-    of that crop, the block's cell replaces the clean one. Positions sharing
-    the offset ``vstart - start`` are spliced with one slice assignment.
+    ``rows`` and ``cols`` are each ``(starts, size, vstarts)`` for one axis.
+    Position (r, c) gets ``base[rows[0][r] + (0..rows[1]), cols[0][c] + (0..cols[1])]``,
+    so the crops form an (R, C, rows[1], cols[1], channels) block. Wherever the
+    position's ``values[r, c]`` window, whose top-left cell sits at
+    ``(rows[2][r], cols[2][c])``, covers a cell of its crop, the window's cell
+    replaces the clean one. Each run of rows sharing an offset ``vstarts -
+    starts`` (see :func:`_offset_runs`), crossed with each such run of
+    columns, is spliced with one slice assignment.
     """
-    windows = sliding_window_view(base, tuple(size), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
-    crop = windows[start[:, 0], start[:, 1]]
-    offset = vstart - start
-    # one integer per distinct (row, column) offset
-    key = offset[:, 0] * (np.ptp(offset[:, 1]) + 1) + offset[:, 1]
-    _, first, group = np.unique(key, return_index=True, return_inverse=True)
-    for g, (r, c) in enumerate(offset[first]):
-        a0, a1 = max(-r, 0), min(values.shape[1], size[0] - r)
-        b0, b1 = max(-c, 0), min(values.shape[2], size[1] - c)
-        if a0 < a1 and b0 < b1:
-            rows = slice(None) if len(first) == 1 else group == g
-            crop[rows, r + a0:r + a1, c + b0:c + b1] = values[rows, a0:a1, b0:b1]
+    (row_starts, height, row_vstarts), (col_starts, width, col_vstarts) = rows, cols
+    windows = sliding_window_view(base, (height, width), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+    crop = windows[row_starts[:, np.newaxis], col_starts[np.newaxis, :]]
+    col_runs = _offset_runs(col_vstarts - col_starts, values.shape[3], width)
+    for r, r_dst, r_src in _offset_runs(row_vstarts - row_starts, values.shape[2], height):
+        for c, c_dst, c_src in col_runs:
+            crop[r, c, r_dst, c_dst] = values[r, c, r_src, c_src]
     return crop
+
+
+def _offset_runs(offset: np.ndarray, length: int, extent: int) -> list[tuple[slice, slice, slice]]:
+    """Slices of one axis that share an ``offset``, with where they splice.
+
+    Positions with equal offsets are cut into evenly spaced runs (a max-pool
+    window alternates its offset between neighbours, so a run may step by
+    more than one). Per run: its positions, the cells of an ``extent``-cell
+    crop that a ``length``-cell window at that offset covers, and the window
+    cells that land there. Runs whose window misses the crop are left out.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, o in enumerate(offset.tolist()):
+        groups.setdefault(o, []).append(i)
+    runs = []
+    for o, idx in groups.items():
+        a0, a1 = max(-o, 0), min(length, extent - o)
+        p = 0
+        while a0 < a1 and p < len(idx):
+            step = idx[p + 1] - idx[p] if p + 1 < len(idx) else 1
+            q = p + 1
+            while q < len(idx) and idx[q] - idx[q - 1] == step:
+                q += 1
+            runs.append((slice(idx[p], idx[q - 1] + 1, step), slice(o + a0, o + a1), slice(a0, a1)))
+            p = q
+    return runs
+
+
+def _axis_splices(steps, centers: np.ndarray, patch_len: int, dim: int, axis: int) -> list:
+    """The ``(starts, size, vstarts)`` of every splice of a scan, on one axis.
+
+    ``centers`` are the patch centers on that axis. The first splice lays the
+    patch over the pixels, one follows per conv or max-pool step, and the last
+    lays the final window over the clean features.
+    """
+    # lo: first cell the patch changes; size: a bound on how many it changes
+    origin = centers - patch_len // 2
+    lo = np.clip(origin, 0, dim)
+    size = min(patch_len, dim)
+    vstart = np.minimum(lo, dim - size)
+    splices = [(vstart, size, origin)]
+    for step in steps:
+        layer = step.spec
+        if isinstance(layer, Relu):
+            continue
+        dim = step.out_shape[axis]
+        if isinstance(layer, Conv):
+            k, pad = layer.kernel[axis], layer.padding
+            lo = np.clip(lo - (k - 1) + pad, 0, dim)
+            size = min(size + k - 1, dim)
+            span, scale, shift = size + k - 1, 1, pad
+        else:
+            win = layer.window
+            lo = np.minimum(lo // win, dim)
+            size = min((size + win - 2) // win + 1, dim)
+            span, scale, shift = size * win, win, 0
+        first = np.minimum(lo, dim - size)
+        splices.append((first * scale, span, vstart + shift))
+        vstart = first
+    splices.append((np.zeros_like(vstart), dim, vstart))
+    return splices
+
+
+def _grid_rectangles(rows: slice, count: int, width: int) -> list[tuple[slice, slice]]:
+    """The (scan rows, scan columns) rectangles that tile, in order, the
+    ``rows`` slice of ``count`` row-major positions on a grid ``width`` wide:
+    a partial first row, a run of whole rows and a partial last row, each
+    where present."""
+    start, stop, _ = rows.indices(count)
+    rectangles = []
+    while start < stop:
+        r, c = divmod(start, width)
+        if c == 0 and stop - start >= width:
+            whole = (stop - start) // width
+            rectangles.append((slice(r, r + whole), slice(0, width)))
+            start += whole * width
+        else:
+            end = min(stop, (r + 1) * width)
+            rectangles.append((slice(r, r + 1), slice(c, c + end - start)))
+            start = end
+    return rectangles
 
 
 def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: int) -> np.ndarray:
     """Logits of the occluded image at every scan position, in row-major order.
 
     Computed incrementally (see the module docstring); the positions of one
-    inference block share each call of a spatial layer's kernel.
+    rectangle of scan rows and columns inside an inference block share each
+    call of a spatial layer's kernel.
     """
     h, w = pixels.shape
-    dims = np.array([h, w])
-    positions = np.array([(i, j) for i in range(0, h, stride) for j in range(0, w, stride)])
+    centers = (np.arange(0, h, stride), np.arange(0, w, stride))
     split = spatial_depth(model.plan)
+    spatial = model.plan[:split]
 
     # clean pass: the input of each spatial layer (conv inputs zero-padded)
     x = pixels[np.newaxis, :, :, np.newaxis]
     clean_inputs = []
-    for step in model.plan[:split]:
+    for step in spatial:
         pad = step.spec.padding if isinstance(step.spec, Conv) else 0
         clean_inputs.append(np.pad(x[0], ((pad, pad), (pad, pad), (0, 0))))
         x = apply_layer(step, model.params, x)
     clean_features = x[0]
 
-    def features(centers: np.ndarray) -> np.ndarray:
-        # lo: first cell the patch changes; size: a bound on how many it changes
-        origin = centers - np.array(patch.shape) // 2
-        lo = np.clip(origin, 0, dims)
-        size = np.minimum(patch.shape, dims)
-        vstart = np.minimum(lo, dims - size)
-        values = _splice(pixels[:, :, np.newaxis], vstart, size,
-                         np.broadcast_to(patch[np.newaxis, :, :, np.newaxis],
-                                         (len(centers),) + patch.shape + (1,)), origin)
-        for step, base in zip(model.plan[:split], clean_inputs):
-            layer = step.spec
-            if isinstance(layer, Relu):
-                values = apply_layer(step, model.params, values)
-                continue
-            out = np.array(step.out_shape[:2])
-            if isinstance(layer, Conv):
-                k, pad = np.array(layer.kernel), layer.padding
-                lo = np.clip(lo - (k - 1) + pad, 0, out)
-                size = np.minimum(size + k - 1, out)
-                span, scale, shift = size + k - 1, 1, pad
-            else:
-                win = layer.window
-                lo = np.minimum(lo // win, out)
-                size = np.minimum((size + win - 2) // win + 1, out)
-                span, scale, shift = size * win, win, 0
-            first = np.minimum(lo, out - size)
-            region = _splice(base, first * scale, span, values, vstart + shift)
-            values = apply_layer(step, model.params, region, padding=0)
-            vstart = first
-        flat = _splice(clean_features, np.zeros_like(vstart), clean_features.shape[:2],
-                       values, vstart)
-        return flat.reshape(len(centers), -1)
+    def features(rows: slice, cols: slice) -> np.ndarray:
+        row_splices = _axis_splices(spatial, centers[0][rows], patch.shape[0], h, 0)
+        col_splices = _axis_splices(spatial, centers[1][cols], patch.shape[1], w, 1)
+        splices = iter(zip(row_splices, col_splices))
+        grid = (len(row_splices[0][0]), len(col_splices[0][0]))
+        values = _splice(pixels[:, :, np.newaxis],
+                         np.broadcast_to(patch[:, :, np.newaxis], grid + patch.shape + (1,)),
+                         *next(splices))
+        for step, base in zip(spatial, clean_inputs):
+            if not isinstance(step.spec, Relu):
+                values = _splice(base, values, *next(splices))
+            out = apply_layer(step, model.params, values.reshape(-1, *values.shape[2:]), padding=0)
+            values = out.reshape(grid + out.shape[1:])
+        return _splice(clean_features, values, *next(splices)).reshape(grid[0] * grid[1], -1)
 
-    logits = walk_blocks(lambda rows: features(positions[rows]), len(positions),
-                         model.plan[split:], model.params)
+    count, width = len(centers[0]) * len(centers[1]), len(centers[1])
+
+    def block(rows: slice) -> np.ndarray:
+        parts = [features(*rect) for rect in _grid_rectangles(rows, count, width)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    logits = walk_blocks(block, count, model.plan[split:], model.params)
     return check_outputs(logits, "logits")
 
 
@@ -396,7 +466,8 @@ def save_map_csv(occ_map: OcclusionMap, path) -> None:
 def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),
                  sample_count: int = 1) -> OcclusionMap:
     grid = np.empty((0, 0))
-    if Path(path).read_bytes().strip():     # numpy warns on a file with no data
+    # numpy warns on a file with no data line; "#" starts a comment for np.loadtxt
+    if any(line.split(b"#", 1)[0].strip() for line in Path(path).read_bytes().splitlines()):
         try:
             grid = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:

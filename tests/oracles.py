@@ -53,6 +53,15 @@ def conv2d_vjp_loops(x, weight, g, padding=0):
     return dxp[:, padding:padding + h, padding:padding + w, :], dw
 
 
+def conv2d_bias_grad_rows(g):
+    """Bias gradient of a conv output gradient g (N, H, W, C_out): the
+    (N*H*W, C_out) rows added one at a time, in order, onto zeros."""
+    total = np.zeros(g.shape[-1])
+    for row in g.reshape(-1, g.shape[-1]):
+        total += row
+    return total
+
+
 def conv2d_nhwc(x, weight, bias, padding=0):
     """The NHWC im2col convolution: (output, vjp_x, vjp_w).
 

@@ -43,6 +43,7 @@ from otlab.engine.model import (
 from otlab.errors import ConfigError, CorruptionError, DivergenceError, FormatError, StateError
 
 from oracles import (
+    conv2d_bias_grad_rows,
     conv2d_loops,
     conv2d_nhwc,
     conv2d_vjp_loops,
@@ -297,6 +298,24 @@ def test_conv_matches_the_loop_oracle(n, height, width, cin, kh, kw, cout, paddi
     np.testing.assert_allclose(vjp_x(g), dx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vjp_w(g), dw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(vjp_b(g), g.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 4), height=st.integers(1, 12), width=st.integers(1, 12),
+       cout=st.integers(2, 64), layout=st.sampled_from(["contiguous", "channel-major"]),
+       seed=st.integers(0, 2 ** 16))
+def test_conv_bias_grad_adds_rows_in_order(n, height, width, cout, layout, seed):
+    r = np.random.default_rng(seed)
+    x = r.normal(size=(n, height, width, 1))
+    node = ops.conv2d(x, r.normal(size=(1, 1, 1, cout)), r.normal(size=cout))
+    g = r.normal(size=node.shape)
+    g[r.random(g.shape) < 0.2] = -0.0     # dead relu outputs pass back signed zeros
+    (_, _), (_, _), (_, vjp_b) = node.parents
+    if layout == "contiguous":
+        assert vjp_b(g).tobytes() == g.sum(axis=(0, 1, 2)).tobytes()
+    else:   # as a cropped vjp_x result arrives; sum would add each channel pairwise
+        g = np.ascontiguousarray(g.transpose(3, 0, 1, 2)).transpose(1, 2, 3, 0)
+    assert vjp_b(g).tobytes() == conv2d_bias_grad_rows(g).tobytes()
 
 
 # ---------------------------------------------------------------- max pool

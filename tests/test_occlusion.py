@@ -215,27 +215,35 @@ def test_stride_fills_blocks_with_scanned_value(rng):
 # ------------------------------------------------------ incremental scan
 
 @settings(max_examples=200)
-@given(data=st.data(), single=st.booleans(), broadcast=st.booleans())
-def test_splice_matches_loop_oracle(data, single, broadcast):
-    h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-    c, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 12))
-    size = np.array([data.draw(st.integers(1, h)), data.draw(st.integers(1, w))])
+@given(data=st.data(), broadcast=st.booleans())
+def test_splice_matches_loop_oracle(data, broadcast):
+    h, w, c = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+    size = (data.draw(st.integers(1, h)), data.draw(st.integers(1, w)))
     a, b = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-    # a few offsets shared by many positions: negative, partly or wholly outside the crop
-    offsets = data.draw(st.lists(st.tuples(st.integers(-a - 1, size[0] + 1),
-                                           st.integers(-b - 1, size[1] + 1)),
-                                 min_size=1, max_size=4))
-    pick = [0] * n if single else data.draw(
-        st.lists(st.integers(0, len(offsets) - 1), min_size=n, max_size=n))
-    start = np.array([(data.draw(st.integers(0, h - size[0])),
-                       data.draw(st.integers(0, w - size[1]))) for _ in range(n)])
-    vstart = start + np.array(offsets)[pick]
+
+    def axis(extent, dim, length):
+        # a few offsets shared by runs of positions: negative, partly or wholly outside the crop
+        n = data.draw(st.integers(1, 5))
+        starts = data.draw(st.lists(st.integers(0, dim - extent), min_size=n, max_size=n))
+        choices = data.draw(st.lists(st.integers(-length - 1, extent + 1), min_size=1, max_size=3))
+        offsets = data.draw(st.lists(st.sampled_from(choices), min_size=n, max_size=n))
+        return np.array(starts), np.array(starts) + np.array(offsets)
+
+    (row_starts, row_vstarts), (col_starts, col_vstarts) = axis(size[0], h, a), axis(size[1], w, b)
+    grid = (len(row_starts), len(col_starts))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     base = rng.random((h, w, c))
-    values = (np.broadcast_to(rng.random((1, a, b, c)), (n, a, b, c)) if broadcast
-              else rng.random((n, a, b, c)))
-    np.testing.assert_array_equal(_splice(base, start, size, values, vstart),
-                                  splice_loops(base, start, size, values, vstart))
+    values = (np.broadcast_to(rng.random((1, 1, a, b, c)), grid + (a, b, c)) if broadcast
+              else rng.random(grid + (a, b, c)))
+    spliced = _splice(base, values, (row_starts, size[0], row_vstarts),
+                      (col_starts, size[1], col_vstarts))
+
+    def per_position(rows, cols):
+        return np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    expected = splice_loops(base, per_position(row_starts, col_starts), size,
+                            values.reshape((-1, a, b, c)), per_position(row_vstarts, col_vstarts))
+    np.testing.assert_array_equal(spliced.reshape(expected.shape), expected)
 
 
 _spatial_layers = st.one_of(
@@ -312,6 +320,33 @@ def test_incremental_scan_is_bit_identical_across_inference_blocks(patch_shape):
     expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, 1)
     assert len(expected) == 4 * INFERENCE_ROWS
     np.testing.assert_array_equal(_scan_logits(model, pixels, patch, 1), expected)
+
+
+@pytest.mark.parametrize("size, patch_shape, stride", [
+    (30, (13, 13), 1), (20, (6, 7), 1), (36, (9, 4), 1), (28, (5, 5), 3), (52, (5, 5), 3),
+])
+def test_incremental_scan_is_bit_identical_where_blocks_split_scan_rows(size, patch_shape,
+                                                                        stride):
+    model = init_model(default_architecture(size, 10), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    pixels, patch = rng.random((size, size)), rng.random(patch_shape)
+    expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, stride)
+    np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride), expected)
+
+
+def test_scan_calls_each_conv_once_per_block_of_whole_scan_rows(monkeypatch):
+    model = init_model(default_architecture(32, 10), np.random.default_rng(3))
+    calls = []
+    real = ops.conv2d_value
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(ops, "conv2d_value", counting)
+    _scan_logits(model, np.random.default_rng(5).random((32, 32)), np.zeros((13, 13)), 1)
+    # the clean pass, then both convs for each of the four 8-row blocks
+    assert calls == [1, 1] + [INFERENCE_ROWS] * 8
 
 
 def test_scan_recomputes_only_windows(monkeypatch):
@@ -573,6 +608,8 @@ def test_map_csv_round_trip(tmp_path, rng):
     ("0.1,x\n", "not a numeric CSV grid"),
     ("", "no cells"),
     ("\n\n", "no cells"),
+    ("# a comment\n", "no cells"),
+    ("# a comment\n\n# another\n", "no cells"),
 ])
 def test_map_csv_rejects_unusable_cells(tmp_path, text, detail):
     path = tmp_path / "map.csv"
