@@ -125,7 +125,7 @@ def main():
 def cmd_train_classifier(config_path, seed, out_dir):
     """Train the classification model from scratch."""
     cfg = ExperimentConfig.load(config_path, seed)
-    _full, train, _val = cfg.dataset_splits()
+    train = cfg.dataset_splits()[1]
     schedule = cfg.schedule
     rng = as_rng(cfg.seed)
     model = init_model(cfg.model_config(train), rng)
@@ -147,7 +147,7 @@ def cmd_train_classifier(config_path, seed, out_dir):
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
     cfg = ExperimentConfig.load(config_path, seed)
-    _full, _train, val = cfg.dataset_splits()
+    val = cfg.dataset_splits()[2]
     spec = _occluder(cfg)
     loaded = _load_model(checkpoint_path)
 
@@ -181,7 +181,7 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
 def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
     cfg = ExperimentConfig.load(config_path, seed)
-    _full, train, _val = cfg.dataset_splits()
+    train = cfg.dataset_splits()[1]
     schedule, mode = cfg.schedule, cfg.placement_mode
     spec = _occluder(cfg)
     loaded = _load_model(base_checkpoint)
@@ -213,7 +213,7 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
 def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
     cfg = ExperimentConfig.load(config_path, seed)
-    _full, train, _val = cfg.dataset_splits()
+    train = cfg.dataset_splits()[1]
     loss_cfg, schedule = cfg.loss, cfg.finetune
     loaded = _load_model(base_checkpoint)
     loaded.model.bottleneck_dim()  # must expose a bottleneck layer
@@ -240,7 +240,7 @@ def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
 def cmd_evaluate(config_path, seed, out_dir, checkpoint_path, pairs_path):
     """Score verification pairs; write ROC and k-fold accuracy reports."""
     cfg = ExperimentConfig.load(config_path, seed)
-    full, _train, _val = cfg.dataset_splits()
+    full = cfg.dataset_splits()[0]
     k = cfg.eval.k
     source = cfg.eval_pairs_path(pairs_path)
     loaded = _load_model(checkpoint_path)

@@ -119,7 +119,10 @@ class ExperimentConfig:
         return from_section(cls, raw, "")
 
     def dataset_splits(self) -> tuple[Dataset, Dataset, Dataset]:
-        """(full, train, val); deterministic from the dataset spec alone."""
+        """(full, train, val); deterministic from the dataset spec alone.
+
+        The splits own their pixels (``data.split``), so a caller that keeps
+        only a split lets the full dataset's array be freed."""
         section = self.dataset
         if section.synthetic is not None:
             full, split_seed = generate_synthetic(section.synthetic), section.synthetic.seed

@@ -12,7 +12,7 @@ class names mapped to indices in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +203,12 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 # ------------------------------------------------------------- splitting
 
 def split(dataset: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset]:
-    """Stratified train/val split, deterministic per seed, disjoint ids."""
+    """Stratified train/val split, deterministic per seed, disjoint ids.
+
+    Each split owns its pixels: its ``image_array`` is a copy of its rows of
+    ``dataset``'s array, and each of its images' ``pixels`` is a view of that
+    copy, so a split keeps no reference to ``dataset``'s array.
+    """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie strictly between 0 and 1")
     rng = as_rng(seed)
@@ -226,9 +231,10 @@ def split(dataset: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset
 
     def part(indices, tag):
         indices = sorted(indices)
-        return Dataset(images=[dataset.images[i] for i in indices],
-                       class_count=dataset.class_count, split_tag=tag,
-                       _array_cache=dataset.image_array()[np.array(indices, dtype=np.intp)])
+        pixels = dataset.image_array()[np.array(indices, dtype=np.intp)]
+        return Dataset(images=[replace(dataset.images[i], pixels=pixels[k])
+                               for k, i in enumerate(indices)],
+                       class_count=dataset.class_count, split_tag=tag, _array_cache=pixels)
 
     return part(train_idx, "train"), part(val_idx, "val")
 

@@ -11,9 +11,18 @@ from which a requested leaf can be reached and runs only the VJPs into those
 computed for an input image; every requested gradient gets the same
 contributions in the same order as an unpruned walk.
 
-The graph is rebuilt on every forward pass; nothing is retained between
-steps, so inference code can use the plain array kernels and skip the tape
-entirely.
+The walk consumes the graph. As soon as a node's contributions to its
+parents are computed, the node drops its ``parents``: the VJP closures and
+everything they saved (a conv's patch matrix, a pool's tiles, a relu's
+mask), so a layer's saved state is freed before the layers below it run
+their VJPs (reverse-mode checkpoint release, Griewank & Walther,
+*Evaluating Derivatives*, 2008). Node values stay, so a caller can still
+read the loss and any node it holds. A recorded graph is single-use: a
+second walk that reaches a consumed node raises
+:class:`~otlab.errors.StateError`; trace the forward pass again instead.
+Leaves have no parents and are never consumed. The graph is rebuilt on
+every forward pass, so inference code can use the plain array kernels and
+skip the tape entirely.
 """
 
 from __future__ import annotations
@@ -28,7 +37,10 @@ Vjp = Callable[[np.ndarray], np.ndarray]
 
 
 class Node:
-    """One value in a recorded computation, with links to its parents."""
+    """One value in a recorded computation, with links to its parents.
+
+    ``parents`` is None once :func:`gradients` has walked past the node.
+    """
 
     __slots__ = ("value", "parents")
 
@@ -185,6 +197,9 @@ def _topo_order(root: Node) -> list[Node]:
             continue
         if id(node) in seen:
             continue
+        if node.parents is None:
+            raise StateError("the recorded graph was consumed by an earlier backward walk; "
+                             "trace the forward pass again")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node.parents:
@@ -194,10 +209,11 @@ def _topo_order(root: Node) -> list[Node]:
 
 
 def gradients(loss: Node, leaves: Iterable[Node]) -> list[np.ndarray]:
-    """Gradients of a scalar `loss` with respect to `leaves`.
+    """Gradients of a scalar `loss` with respect to `leaves`, consuming the graph.
 
     Leaves not reachable from the loss (a detached/constant loss) receive
     zero gradients, matching the subgradient convention used throughout.
+    A second walk over the consumed graph raises StateError.
     """
     if not isinstance(loss, Node):
         raise StateError("backward requires a recorded forward pass (got a bare value)")
@@ -212,11 +228,17 @@ def gradients(loss: Node, leaves: Iterable[Node]) -> list[np.ndarray]:
             live.add(id(node))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(order):
+    while order:    # a node leaves ``order`` only once processed, so no id is reused mid-walk
+        node = order.pop()
         g = grads.pop(id(node), None)
+        if not node.parents:
+            if g is not None:
+                grads[id(node)] = g  # keep leaf gradients
+            continue
+        parents, node.parents = node.parents, None
         if g is None:
             continue
-        for parent, vjp in node.parents:
+        for parent, vjp in parents:
             pid = id(parent)
             if pid not in live:
                 continue
@@ -225,7 +247,4 @@ def gradients(loss: Node, leaves: Iterable[Node]) -> list[np.ndarray]:
                 grads[pid] = grads[pid] + contribution
             else:
                 grads[pid] = contribution
-        if node.parents:
-            continue
-        grads[id(node)] = g  # keep leaf gradients
     return [grads.get(id(leaf), np.zeros_like(leaf.value)) for leaf in leaves]

@@ -125,21 +125,28 @@ def maxpool_value(x: np.ndarray, window: int) -> np.ndarray:
 
 def maxpool(x, window: int) -> Node:
     x, w = as_node(x), window
+    shape = x.value.shape
     tiles = _pool_tiles(x.value, w)
     out = _maxpool_forward(tiles)
 
     def vjp(g):
-        # g goes to the first cell, in row-major order, equal to the maximum
-        dx = np.zeros_like(x.value)
-        dtiles = _pool_tiles(dx, w)
+        # g goes to the first cell, in row-major order, equal to the maximum; the
+        # tiles write every cell of dx but a cropped tail, which is zeroed
+        dx = np.empty(shape)
+        dx[:, shape[1] // w * w:] = 0.0
+        dx[:, :, shape[2] // w * w:] = 0.0
+        dtiles = _pool_tiles(dx, w).view(np.int64)
+        bits = g.view(np.int64)
         free = np.ones(out.shape, dtype=bool)
+        hit = np.empty(out.shape, dtype=bool)
+        mask = np.empty(out.shape, dtype=np.int64)
         for i, j in np.ndindex(w, w):
-            hit = tiles[:, :, i, :, j, :] == out
+            np.equal(tiles[:, :, i, :, j, :], out, out=hit)
             hit &= free
             free ^= hit
             # g's bits where hit, +0.0 elsewhere: np.where(hit, g, 0.0) as a bitwise AND
-            dtiles[:, :, i, :, j, :] = (g.view(np.int64)
-                                        & -hit.view(np.int8).astype(np.int64)).view(np.float64)
+            np.negative(hit.view(np.int8), out=mask)
+            np.bitwise_and(bits, mask, out=dtiles[:, :, i, :, j, :])
         return dx
 
     return Node(out, [(x, vjp)])

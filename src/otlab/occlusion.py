@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,11 @@ class PlacementDistribution:
     probs: np.ndarray           # (H, W), sums to 1
     temperature: float
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Running sum of ``probs`` in row-major order, computed once per distribution."""
+        return np.cumsum(self.probs.ravel())
+
 
 # ------------------------------------------------------------- occluders
 
@@ -131,7 +137,7 @@ def make_occluder(spec: OccluderSpec, rng) -> np.ndarray:
 
     model = spec.noise_model
     if model == "random":
-        model = rng.choice(("salt_pepper", "speckle", "gaussian"))
+        model = ("salt_pepper", "speckle", "gaussian")[rng.integers(3)]
     if model == "none":
         return patch
 
@@ -393,8 +399,7 @@ def placement_distribution(occ_map: OcclusionMap, temperature: float) -> Placeme
 def sample_locations(dist: PlacementDistribution, rng, n: int) -> np.ndarray:
     """(n, 2) array of inverse-CDF draws; one uniform variate per location."""
     rng = as_rng(rng)
-    cdf = np.cumsum(dist.probs.ravel())
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    idx = np.searchsorted(dist.cdf, rng.random(n), side="right")
     idx = np.minimum(idx, dist.probs.size - 1)
     return np.stack(np.divmod(idx, dist.probs.shape[1]), axis=1)
 

@@ -204,6 +204,9 @@ def test_criterion_1_gradient_fidelity():
         worst["standard_triplet"] = max(worst["standard_triplet"],
                                         rel_error(g_std, finite_difference(std_loss, vectors)))
 
+        # the standard loss's walk consumed the batch's graph: mine the same triplets again
+        batch = mine(ad.sq_distances(points), labels, LossConfig(alpha=0.5))
+        assert np.array_equal(batch.index.T, [ai, pi, ni])
         (g_bat,) = ad.gradients(triplet_loss(batch, LossConfig(alpha=0.5, beta=0.7)),
                                 [points])
 

@@ -128,3 +128,19 @@ def test_non_scalar_loss_rejected():
 def test_bare_value_loss_raises_state_error():
     with pytest.raises(StateError):
         ad.gradients(np.float64(1.0), [])
+
+
+def test_a_walked_graph_is_consumed(rng):
+    x = ad.Node(rng.normal(size=(3, 2)))
+    hidden = ad.relu(x * 2.0)
+    loss = ad.sum_along(hidden)
+    (g,) = ad.gradients(loss, [x])
+    assert loss.parents is None and hidden.parents is None and x.parents == ()
+    with pytest.raises(StateError, match="consumed"):
+        ad.gradients(loss, [x])
+    with pytest.raises(StateError, match="consumed"):
+        ad.gradients(ad.sum_along(hidden * 3.0), [x])    # a new loss over a walked node
+    # values stay readable, and a leaf is never consumed: a new graph over x walks
+    assert float(loss.value) == float(hidden.value.sum())
+    (again,) = ad.gradients(ad.sum_along(ad.relu(x * 2.0)), [x])
+    assert again.tobytes() == g.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -260,6 +261,23 @@ def test_split_gives_an_empty_part_an_empty_image_array():
     assert val.image_array().shape == (0, 32, 32)
     np.testing.assert_array_equal(train.image_array(),
                                   np.stack([im.pixels for im in train.images]))
+
+
+def test_splits_own_their_pixels():
+    full = _dataset(per_class=10)
+    by_id = {im.id: im for im in full.images}
+    train, val = split(full, 0.3, seed=0)
+    for part in (train, val):
+        array = part.image_array()
+        assert not np.shares_memory(array, full.image_array())
+        for k, im in enumerate(part.images):
+            assert im.pixels.base is array and np.shares_memory(im.pixels, array[k])
+            assert im.pixels.tobytes() == by_id[im.id].pixels.tobytes()
+            assert (im.label, im.id) == (by_id[im.id].label, by_id[im.id].id)
+    full_array = weakref.ref(full.image_array())
+    del full, by_id
+    assert full_array() is None         # the splits pin none of the full render
+    assert train.image_array().shape == (21, 4, 4)
 
 
 def test_image_array_of_an_empty_uncached_dataset_is_a_state_error():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -433,10 +434,11 @@ def _assert_same_gradient_bits(model, x, labels):
     run = trace(model, x)
     loss, _ = softmax_cross_entropy(run.logits, labels)
     leaves = list(run.param_nodes.values())
+    # the oracle first: gradients consumes the graph it walks
+    unpruned = gradients_unpruned(loss, leaves)
     # an iterator: gradients must read the leaves once and keep them
-    for pruned, unpruned in zip(ad.gradients(loss, iter(leaves)),
-                                gradients_unpruned(loss, leaves)):
-        assert pruned.tobytes() == unpruned.tobytes()
+    for pruned, want in zip(ad.gradients(loss, iter(leaves)), unpruned):
+        assert pruned.tobytes() == want.tobytes()
 
 
 def test_default_net_gradients_equal_the_unpruned_walk(rng):
@@ -521,7 +523,8 @@ def test_the_pool_first_plan_gives_the_declared_order_bits(height, width, channe
 
 def test_backward_never_runs_the_vjp_into_the_input(rng):
     model = init_model(default_architecture(8, 3), rng)
-    run = trace(model, rng.random((2, 8, 8, 1)))
+    x = rng.random((2, 8, 8, 1))
+    run = trace(model, x)
     loss, _ = softmax_cross_entropy(run.logits, [0, 2])
     calls, edges, leaves, stack, seen = Counter(), Counter(), {}, [loss], set()
 
@@ -547,9 +550,52 @@ def test_backward_never_runs_the_vjp_into_the_input(rng):
     assert calls[id(image)] == 0    # conv1's vjp_x
     assert calls == edges - Counter({id(image): 1})
 
-    # asked for, the input's gradient is computed as before
+    # asked for, the input's gradient is computed as before; the walk above
+    # consumed the graph, so this one walks a fresh trace
+    run = trace(model, x)
+    loss, _ = softmax_cross_entropy(run.logits, [0, 2])
+    image = loss
+    while image.parents:            # each op's first parent is its activation input
+        image = image.parents[0][0]
+    assert image.value.tobytes() == x.tobytes()
+    want = gradients_unpruned(loss, [image])[0]
     (g,) = ad.gradients(loss, [image])
-    assert g.tobytes() == gradients_unpruned(loss, [image])[0].tobytes()
+    assert g.tobytes() == want.tobytes()
+
+
+def test_backward_frees_each_layers_saved_state_as_it_passes(rng, monkeypatch):
+    model = init_model(default_architecture(16, 4), rng)
+    patches, freed = [], []
+    im2col = ops._im2col
+
+    def recorded(*args):
+        cols = im2col(*args)
+        patches.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", recorded)
+    run = trace(model, rng.random((4, 16, 16, 1)))
+    loss, _ = softmax_cross_entropy(run.logits, [0, 1, 2, 3])
+    conv1, conv2 = patches              # each conv's patch matrix, saved for its vjp_w
+    assert conv1() is not None and conv2() is not None
+
+    def checked(vjp):
+        def wrapped(g):
+            freed.append(conv2() is None)
+            return vjp(g)
+        return wrapped
+
+    node = run.logits
+    while node.parents[0][0].parents:   # down the first parents to conv1's node
+        node = node.parents[0][0]
+    node.parents = tuple((parent, checked(vjp)) for parent, vjp in node.parents)
+
+    grads = backward(run, loss)
+    assert freed == [True, True]        # conv1's vjp_w and vjp_b ran after conv2's state went
+    assert conv1() is None and conv2() is None
+    assert run.logits.parents is None and run.logits.value.shape == (4, 4)
+    assert all(node.parents == () for node in run.param_nodes.values())
+    assert set(grads) == set(model.params)
 
 
 def test_backward_without_recorded_forward_errors(rng):
