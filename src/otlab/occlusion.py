@@ -25,14 +25,17 @@ s consecutive inputs can reach (inputs in the cropped tail reach none).
 Each layer recomputes the window [lo, lo + s), clipped to its output and
 moved inward at the far border, from its clean input with the previous
 window spliced in, using the same kernels as a full forward. All of this
-is computed per axis, so the positions of an ``INFERENCE_ROWS``-row block
-form at most three rectangles of scan rows by scan columns. Per rectangle,
-a splice gathers the clean regions through one sliding-window view, indexed
-by the rows' starts crossed with the columns', and lays the windows over
-them with one slice assignment per pair of a run of rows and a run of
-columns that share the window's offset inside its region. The last window
-is spliced into the clean features and the dense head walks them in the
-same ``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
+is computed per axis, so each ``INFERENCE_ROWS``-row block of positions
+splits into sub-blocks that are rectangles of scan rows by scan columns:
+runs of whole rows where one fits, pieces of a row elsewhere, each small
+enough that no conv's patch matrix outgrows the one it has in a
+``SPATIAL_ROWS``-image sub-block of a full forward. Per rectangle, a splice
+gathers the clean regions through one sliding-window view, indexed by the
+rows' starts crossed with the columns', and lays the windows over them with
+one slice assignment per pair of a run of rows and a run of columns that
+share the window's offset inside its region. The last window is spliced
+into the clean features and the dense head walks them in the same
+``INFERENCE_ROWS``-row blocks as a full forward. Each recomputed value thus
 has the same inputs and kernel as in the full forward, and the logits are
 bit-identical to it wherever the BLAS rounds a GEMM row independently of
 the call's other rows (true for the default net; where it is not, the full
@@ -49,9 +52,11 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import blas
 from .atomic import atomic_write
 from .data import LabeledImage
-from .engine.model import Conv, Model, Relu, apply_layer, forward, spatial_depth, walk_blocks
+from .engine.model import (INFERENCE_ROWS, SPATIAL_ROWS, Conv, Model, Relu, apply_layer, forward,
+                           spatial_depth, walk_blocks)
 from .errors import FormatError, ProtocolError
 from .validation import as_rng, at_least, check_outputs, from_section
 
@@ -174,7 +179,14 @@ def apply_occluder(image: np.ndarray, patch: np.ndarray,
 
 # -------------------------------------------------------- occlusion maps
 
-def _splice(base: np.ndarray, values: np.ndarray, rows, cols) -> np.ndarray:
+def _regions(base: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (H - height + 1, W - width + 1, height, width, channels) view of
+    every ``height`` x ``width`` region of an (H, W, channels) tensor."""
+    return sliding_window_view(base, (height, width), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
+
+
+def _splice(base: np.ndarray, values: np.ndarray, rows, cols,
+            col_runs: list | None = None) -> np.ndarray:
     """Crops of a clean (H, W, channels) tensor over a grid of scan positions,
     with recomputed cells laid over.
 
@@ -185,12 +197,15 @@ def _splice(base: np.ndarray, values: np.ndarray, rows, cols) -> np.ndarray:
     ``(rows[2][r], cols[2][c])``, covers a cell of its crop, the window's cell
     replaces the clean one. Each run of rows sharing an offset ``vstarts -
     starts`` (see :func:`_offset_runs`), crossed with each such run of
-    columns, is spliced with one slice assignment.
+    columns, is spliced with one slice assignment. A caller that splices over
+    the same tensor or columns again may pass ``base`` as its :func:`_regions`
+    view and the column runs as ``col_runs``, both computed once.
     """
     (row_starts, height, row_vstarts), (col_starts, width, col_vstarts) = rows, cols
-    windows = sliding_window_view(base, (height, width), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
-    crop = windows[row_starts[:, np.newaxis], col_starts[np.newaxis, :]]
-    col_runs = _offset_runs(col_vstarts - col_starts, values.shape[3], width)
+    regions = base if base.ndim == 5 else _regions(base, height, width)
+    crop = regions[row_starts[:, np.newaxis], col_starts[np.newaxis, :]]
+    if col_runs is None:
+        col_runs = _offset_runs(col_vstarts - col_starts, values.shape[3], width)
     for r, r_dst, r_src in _offset_runs(row_vstarts - row_starts, values.shape[2], height):
         for c, c_dst, c_src in col_runs:
             crop[r, c, r_dst, c_dst] = values[r, c, r_src, c_src]
@@ -258,21 +273,21 @@ def _axis_splices(steps, centers: np.ndarray, patch_len: int, dim: int, axis: in
     return splices
 
 
-def _grid_rectangles(rows: slice, count: int, width: int) -> list[tuple[slice, slice]]:
-    """The (scan rows, scan columns) rectangles that tile, in order, the
-    ``rows`` slice of ``count`` row-major positions on a grid ``width`` wide:
-    a partial first row, a run of whole rows and a partial last row, each
-    where present."""
+def _grid_rectangles(rows: slice, count: int, width: int, most: int) -> list[tuple[slice, slice]]:
+    """The (scan rows, scan columns) rectangles of at most ``most`` positions
+    that tile, in order, the ``rows`` slice of ``count`` row-major positions on
+    a grid ``width`` wide: runs of whole rows where one fits, and pieces of a
+    row elsewhere."""
     start, stop, _ = rows.indices(count)
     rectangles = []
     while start < stop:
         r, c = divmod(start, width)
-        if c == 0 and stop - start >= width:
-            whole = (stop - start) // width
+        whole = min(stop - start, most) // width
+        if c == 0 and whole:
             rectangles.append((slice(r, r + whole), slice(0, width)))
             start += whole * width
         else:
-            end = min(stop, (r + 1) * width)
+            end = min(stop, (r + 1) * width, start + most)
             rectangles.append((slice(r, r + 1), slice(c, c + end - start)))
             start = end
     return rectangles
@@ -281,43 +296,64 @@ def _grid_rectangles(rows: slice, count: int, width: int) -> list[tuple[slice, s
 def _scan_logits(model: Model, pixels: np.ndarray, patch: np.ndarray, stride: int) -> np.ndarray:
     """Logits of the occluded image at every scan position, in row-major order.
 
-    Computed incrementally (see the module docstring); the positions of one
-    rectangle of scan rows and columns inside an inference block share each
-    call of a spatial layer's kernel.
+    Computed incrementally (see the module docstring). Each ``INFERENCE_ROWS``
+    block of positions walks its spatial windows in sub-blocks, rectangles of
+    scan rows by scan columns whose positions share each call of a spatial
+    layer's kernel. They are sized so that no conv's patch matrix outgrows the
+    one it has in a ``SPATIAL_ROWS``-image sub-block of a full forward.
     """
     h, w = pixels.shape
     centers = (np.arange(0, h, stride), np.arange(0, w, stride))
     split = spatial_depth(model.plan)
     spatial = model.plan[:split]
 
-    # clean pass: the input of each spatial layer (conv inputs zero-padded)
+    # clean pass: the clean tensor each splice lays windows over (conv inputs
+    # zero-padded), and the steps that run on what the splice returns
     x = pixels[np.newaxis, :, :, np.newaxis]
-    clean_inputs = []
+    bases, groups = [x[0]], [[]]
     for step in spatial:
-        pad = step.spec.padding if isinstance(step.spec, Conv) else 0
-        clean_inputs.append(np.pad(x[0], ((pad, pad), (pad, pad), (0, 0))))
+        if not isinstance(step.spec, Relu):
+            pad = step.spec.padding if isinstance(step.spec, Conv) else 0
+            bases.append(np.pad(x[0], ((pad, pad), (pad, pad), (0, 0))) if pad else x[0])
+            groups.append([])
+        groups[-1].append(step)
         x = apply_layer(step, model.params, x)
-    clean_features = x[0]
+    bases.append(x[0])
+    groups.append([])
+    # per axis, every splice of the whole scan; a rectangle's are slices of them
+    splices = [_axis_splices(spatial, centers[a], patch.shape[a], pixels.shape[a], a)
+               for a in (0, 1)]
+    stages = [(_regions(base, row[1], col[1]), steps, row, col)
+              for base, steps, row, col in zip(bases, groups, *splices)]
+
+    # positions per sub-block: a conv recomputes a window as large as its
+    # splice less the kernel, with the patch matrix columns of a full forward
+    most = INFERENCE_ROWS
+    for _, steps, row, col in stages:
+        if steps and isinstance(steps[0].spec, Conv):
+            (kh, kw), out = steps[0].spec.kernel, steps[0].out_shape
+            cells = (row[1] - kh + 1) * (col[1] - kw + 1)
+            most = min(most, SPATIAL_ROWS * out[0] * out[1] // cells)
+    count, width = len(centers[0]) * len(centers[1]), len(centers[1])
+    whole_col_runs = []     # each splice's column runs, shared by whole-row rectangles
 
     def features(rows: slice, cols: slice) -> np.ndarray:
-        row_splices = _axis_splices(spatial, centers[0][rows], patch.shape[0], h, 0)
-        col_splices = _axis_splices(spatial, centers[1][cols], patch.shape[1], w, 1)
-        splices = iter(zip(row_splices, col_splices))
-        grid = (len(row_splices[0][0]), len(col_splices[0][0]))
-        values = _splice(pixels[:, :, np.newaxis],
-                         np.broadcast_to(patch[:, :, np.newaxis], grid + patch.shape + (1,)),
-                         *next(splices))
-        for step, base in zip(spatial, clean_inputs):
-            if not isinstance(step.spec, Relu):
-                values = _splice(base, values, *next(splices))
-            out = apply_layer(step, model.params, values.reshape(-1, *values.shape[2:]), padding=0)
-            values = out.reshape(grid + out.shape[1:])
-        return _splice(clean_features, values, *next(splices)).reshape(grid[0] * grid[1], -1)
-
-    count, width = len(centers[0]) * len(centers[1]), len(centers[1])
+        grid = (rows.stop - rows.start, cols.stop - cols.start)
+        whole = grid[1] == width
+        values = np.broadcast_to(patch[:, :, np.newaxis], grid + patch.shape + (1,))
+        for k, (regions, steps, row, col) in enumerate(stages):
+            row, col = (row[0][rows], row[1], row[2][rows]), (col[0][cols], col[1], col[2][cols])
+            if whole and k == len(whole_col_runs):
+                whole_col_runs.append(_offset_runs(col[2] - col[0], values.shape[3], col[1]))
+            values = _splice(regions, values, row, col, whole_col_runs[k] if whole else None)
+            for step in steps:
+                values = apply_layer(step, model.params, values.reshape(-1, *values.shape[2:]),
+                                     padding=0)
+                values = values.reshape(grid + values.shape[1:])
+        return values.reshape(grid[0] * grid[1], -1)
 
     def block(rows: slice) -> np.ndarray:
-        parts = [features(*rect) for rect in _grid_rectangles(rows, count, width)]
+        parts = [features(*rect) for rect in _grid_rectangles(rows, count, width, most)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     logits = walk_blocks(block, count, model.plan[split:], model.params)
@@ -346,6 +382,8 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     reflects position sensitivity, not per-position noise draws. Patches
     are drawn before any scan, so results do not depend on ``workers``; the
     map of one image drawn with ``rng`` uses ``make_occluder(spec, rng)``.
+    With ``workers`` above 1 the BLAS runs one thread while the scans run
+    (:mod:`otlab.blas`), and its previous thread count is restored after.
     """
     at_least(1, workers=workers, stride=stride)
     if limit is not None:
@@ -370,7 +408,8 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
         return _scan_grid(model, im.pixels, im.label, patch, stride)
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # one BLAS thread per worker: more oversubscribe the cores
+        with blas.pinned(1), ThreadPoolExecutor(max_workers=workers) as pool:
             grids = list(pool.map(one, zip(selected, patches)))
     else:
         grids = [one(pair) for pair in zip(selected, patches)]

@@ -288,14 +288,19 @@ def scan_logits_full(forward_fn, image, patch, stride, chunk=256):
     h, w = image.shape
     ph, pw = patch.shape
     positions = [(i, j) for i in range(0, h, stride) for j in range(0, w, stride)]
-    occluded = np.empty((len(positions), h, w))
-    for n, (i, j) in enumerate(positions):
-        occluded[n] = image
-        r0, c0 = i - ph // 2, j - pw // 2
-        rs, cs = max(r0, 0), max(c0, 0)
-        re, ce = min(r0 + ph, h), min(c0 + pw, w)
-        occluded[n, rs:re, cs:ce] = patch[rs - r0:re - r0, cs - c0:ce - c0]
-    return np.concatenate([forward_fn(occluded[s:s + chunk, :, :, np.newaxis])
+
+    def occluded(batch):
+        # one chunk at a time, so large images do not stack every position
+        out = np.empty((len(batch), h, w))
+        for n, (i, j) in enumerate(batch):
+            out[n] = image
+            r0, c0 = i - ph // 2, j - pw // 2
+            rs, cs = max(r0, 0), max(c0, 0)
+            re, ce = min(r0 + ph, h), min(c0 + pw, w)
+            out[n, rs:re, cs:ce] = patch[rs - r0:re - r0, cs - c0:ce - c0]
+        return out[:, :, :, np.newaxis]
+
+    return np.concatenate([forward_fn(occluded(positions[s:s + chunk]))
                            for s in range(0, len(positions), chunk)])
 
 

@@ -2,7 +2,10 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import otlab
 from otlab.atomic import atomic_write
 from otlab.cli import _write_csv, main
 from otlab.config import ExperimentConfig
@@ -787,3 +791,26 @@ def test_map_and_augmented_checkpoint_are_pinned(tmp_path, runner):
                     "--out", str(out), base, "--map", str(tmp_path / "map6" / "map.csv")])
     digest = hashlib.sha256((out / "checkpoint.otl").read_bytes()).hexdigest()
     assert digest == AUGMENTED_P_SHA256
+
+
+def test_occlusion_map_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, runner):
+    # each run is a fresh process, so OPENBLAS_NUM_THREADS sets the BLAS's pool
+    synthetic = dict(SYNTHETIC, image_size=18, cue_region=[6, 6, 6, 6])
+    cfg = write_config(tmp_path, dataset={"synthetic": synthetic}, occluder={"height": 6, "width": 6},
+                       schedule={"steps": 40, "lr": 0.05, "batch_size": 10})
+    run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(tmp_path / "s1")])
+    source = str(Path(otlab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        for workers in ("1", "2"):
+            out = tmp_path / f"map-{threads}-{workers}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            done = subprocess.run(
+                [sys.executable, "-m", "otlab.cli", "occlusion-map", "--config", str(cfg),
+                 "--out", str(out), "--workers", workers, str(tmp_path / "s1" / "checkpoint.otl")],
+                env=env, capture_output=True, text=True, timeout=120, check=False)
+            assert done.returncode == 0, done.stderr
+            outputs[threads, workers] = [(out / name).read_bytes()
+                                         for name in ("map.csv", "map.pgm", "map_stats.json")]
+    assert all(files == outputs["1", "1"] for files in outputs.values())

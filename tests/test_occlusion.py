@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,15 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from otlab import occlusion
+from otlab import blas, occlusion
 from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
 from otlab.engine import Schedule, init_model, ops, predict, train_classifier
-from otlab.engine.model import INFERENCE_ROWS, Dense, Model, default_architecture, forward
+from otlab.engine.model import (INFERENCE_ROWS, SPATIAL_ROWS, Conv, Dense, Model,
+                               default_architecture, forward)
 from otlab.errors import ConfigError, FormatError, ProtocolError
 from otlab.occlusion import (
     OccluderSpec,
     OcclusionMap,
     PlacementDistribution,
+    _grid_rectangles,
     _scan_grid,
     _scan_logits,
     _splice,
@@ -334,19 +337,68 @@ def test_incremental_scan_is_bit_identical_where_blocks_split_scan_rows(size, pa
     np.testing.assert_array_equal(_scan_logits(model, pixels, patch, stride), expected)
 
 
-def test_scan_calls_each_conv_once_per_block_of_whole_scan_rows(monkeypatch):
-    model = init_model(default_architecture(32, 10), np.random.default_rng(3))
-    calls = []
-    real = ops.conv2d_value
+# 64x64 at 26x26 walks one-row sub-blocks of 64 positions; at 40x40 a 30x30
+# patch leaves room for 35 positions, so sub-blocks split the 40-position rows
+@pytest.mark.parametrize("size, side", [(64, 26), (40, 30)])
+def test_incremental_scan_is_bit_identical_in_sub_blocks_of_large_images(size, side):
+    model = init_model(default_architecture(size, 10), np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    pixels, patch = rng.random((size, size)), rng.random((side, side))
+    expected = scan_logits_full(lambda b: forward(model, b), pixels, patch, 1)
+    np.testing.assert_array_equal(_scan_logits(model, pixels, patch, 1), expected)
 
-    def counting(*args):
-        calls.append(args[0].shape[0])
-        return real(*args)
 
-    monkeypatch.setattr(ops, "conv2d_value", counting)
-    _scan_logits(model, np.random.default_rng(5).random((32, 32)), np.zeros((13, 13)), 1)
-    # the clean pass, then both convs for each of the four 8-row blocks
-    assert calls == [1, 1] + [INFERENCE_ROWS] * 8
+@pytest.mark.parametrize("size, side, positions", [
+    (32, 13, [64] * 16), (32, 6, [160, 96] * 4), (64, 26, [64] * 64),
+])
+def test_scan_sub_blocks_are_whole_rows_within_a_forward_sub_blocks_patch_matrix(
+        monkeypatch, size, side, positions):
+    model = init_model(default_architecture(size, 10), np.random.default_rng(3))
+    # the patch-matrix rows each conv gets in a SPATIAL_ROWS-image forward sub-block
+    budget = {id(model.params[step.params[0][0]]): SPATIAL_ROWS * math.prod(step.out_shape[:2])
+              for step in model.plan if isinstance(step.spec, Conv)}
+    conv1_rows, rectangles = [], []
+    real_conv, real_rectangles = ops.conv2d_value, occlusion._grid_rectangles
+
+    def conv(x, weight, bias, padding=0):
+        out = real_conv(x, weight, bias, padding)
+        assert math.prod(out.shape[:3]) <= budget[id(weight)]
+        if weight.shape[2] == 1:
+            conv1_rows.append(len(x))
+        return out
+
+    def grid_rectangles(*args):
+        found = real_rectangles(*args)
+        rectangles.extend(found)
+        return found
+
+    monkeypatch.setattr(ops, "conv2d_value", conv)
+    monkeypatch.setattr(occlusion, "_grid_rectangles", grid_rectangles)
+    _scan_logits(model, np.random.default_rng(5).random((size, size)), np.zeros((side, side)), 1)
+    # the clean pass, then one call per sub-block
+    assert conv1_rows == [1] + positions
+    assert all(cols == slice(0, size) for _, cols in rectangles)
+
+
+@settings(max_examples=200)
+@given(count=st.integers(1, 600), width=st.integers(1, 40), most=st.integers(1, 300),
+       data=st.data())
+def test_grid_rectangles_tile_a_block_in_order(count, width, most, data):
+    count = -(-count // width) * width
+    start = data.draw(st.integers(0, count - 1))
+    stop = data.draw(st.integers(start + 1, count))
+    rectangles = _grid_rectangles(slice(start, stop), count, width, most)
+    covered = [r * width + c for rows, cols in rectangles
+               for r in range(rows.start, rows.stop) for c in range(cols.start, cols.stop)]
+    assert covered == list(range(start, stop))
+    for rows, cols in rectangles:
+        size = (rows.stop - rows.start) * (cols.stop - cols.start)
+        assert size <= most
+        # whole rows where one fits, as many as fit while the block has more
+        if cols.start == 0 and most >= width and (rows.start + 1) * width <= stop:
+            assert cols.stop == width
+        if cols == slice(0, width) and (rows.stop + 1) * width <= stop:
+            assert size + width > most
 
 
 def test_scan_recomputes_only_windows(monkeypatch):
@@ -456,6 +508,29 @@ def test_dataset_map_worker_count_does_not_change_result(rng):
     a, _ = dataset_occlusion_map(model, images, occ, np.random.default_rng(1), workers=1)
     b, _ = dataset_occlusion_map(model, images, occ, np.random.default_rng(1), workers=3)
     np.testing.assert_array_equal(a.grid, b.grid)
+
+
+@pytest.mark.skipif(blas.threads() is None, reason="the BLAS thread count cannot be set here")
+def test_multi_worker_map_runs_one_blas_thread_and_restores_the_count(monkeypatch, rng):
+    model = init_model(default_architecture(8, 3), np.random.default_rng(3))
+    pixels = rng.random((4, 8, 8))
+    labels = predict(model, pixels[:, :, :, np.newaxis])
+    images = [LabeledImage(pixels=p, label=int(y), id=str(k))
+              for k, (p, y) in enumerate(zip(pixels, labels))]
+    seen = []
+    real = occlusion._scan_grid
+
+    def scan(*args):
+        seen.append(blas.threads())
+        return real(*args)
+
+    monkeypatch.setattr(occlusion, "_scan_grid", scan)
+    with blas.pinned(2):
+        dataset_occlusion_map(model, images, OccluderSpec(3, 3), 0, workers=1)
+        assert seen == [2] * 4 and blas.threads() == 2
+        dataset_occlusion_map(model, images, OccluderSpec(3, 3), 0, workers=2)
+        assert seen[4:] == [1] * 4
+        assert blas.threads() == 2
 
 
 # ------------------------------------------------- placement distribution
