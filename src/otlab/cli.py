@@ -28,11 +28,11 @@ import numpy as np
 from . import evaluation, metric, occlusion
 from .atomic import atomic_write
 from .config import ExperimentConfig
-from .data import save_pgm
+from .data import Dataset, save_pgm
 from .engine import checkpoint as ckpt
-from .engine.model import init_model
+from .engine.model import Model, init_model
 from .engine.train import train_accuracy, train_classifier
-from .errors import ConfigError, DivergenceError, FormatError, ProtocolError
+from .errors import ConfigError, DivergenceError, FormatError, ProtocolError, StateError
 from .validation import as_rng
 
 CHECKPOINT_NAME = "checkpoint.otl"
@@ -94,11 +94,21 @@ def _common(f):
     return f
 
 
-def _load_model(path) -> ckpt.Checkpoint:
+def _load_model(path, dataset: Dataset, *, classify: bool = False) -> Model:
+    """The model of the checkpoint at ``path``. It must take ``dataset``'s
+    (H, W, 1) images and, with ``classify``, have an output for each class."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"checkpoint not found: {p}")
-    return ckpt.read_checkpoint(p)
+    model = ckpt.read_checkpoint(p).model
+    shape = (*dataset.image_shape(), 1)
+    if model.input_spec != shape:
+        raise ConfigError(f"{p}: model input {list(model.input_spec)} does not match "
+                          f"the dataset's images {list(shape)}")
+    if classify and model.num_classes() < dataset.class_count:
+        raise ConfigError(f"{p}: model has {model.num_classes()} outputs, fewer than "
+                          f"the dataset's {dataset.class_count} classes")
+    return model
 
 
 def _occluder(cfg: ExperimentConfig) -> occlusion.OccluderSpec:
@@ -147,15 +157,16 @@ def cmd_train_classifier(config_path, seed, out_dir):
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
     cfg = ExperimentConfig.load(config_path, seed)
-    val = cfg.dataset_splits()[2]
+    full, _, val = cfg.dataset_splits()
     spec = _occluder(cfg)
-    loaded = _load_model(checkpoint_path)
+    model = _load_model(checkpoint_path, full)
+    del full                # val owns its pixels; let the full array go
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = as_rng(cfg.seed)
     occ_map, info = occlusion.dataset_occlusion_map(
-        loaded.model, val.images, spec, rng, stride=cfg.stride, limit=cfg.map_images,
+        model, val.images, spec, rng, stride=cfg.stride, limit=cfg.map_images,
         workers=workers)
     mean_acc, std = evaluation.map_accuracy_stats(occ_map)
     occlusion.save_map_csv(occ_map, out / "map.csv")
@@ -181,10 +192,11 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
 def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
     cfg = ExperimentConfig.load(config_path, seed)
-    train = cfg.dataset_splits()[1]
+    full, train, _ = cfg.dataset_splits()
     schedule, mode = cfg.schedule, cfg.placement_mode
     spec = _occluder(cfg)
-    loaded = _load_model(base_checkpoint)
+    base = _load_model(base_checkpoint, full, classify=True)
+    del full                # train owns its pixels; let the full array go
     h, w = train.image_shape()
 
     if mode == "P":
@@ -199,7 +211,7 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = as_rng(cfg.seed)
-    model = loaded.model.copy()
+    model = base.copy()
     rows = train_classifier(model, train, schedule, rng,
                             augment=occlusion.augmenter(cfg.occluded_fraction, placement, spec))
     _save_training(out, model, rng, cfg, {"stage": f"augmented-{mode}", "steps": schedule.steps,
@@ -213,15 +225,20 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
 def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
     cfg = ExperimentConfig.load(config_path, seed)
-    train = cfg.dataset_splits()[1]
+    full, train, _ = cfg.dataset_splits()
     loss_cfg, schedule = cfg.loss, cfg.finetune
-    loaded = _load_model(base_checkpoint)
-    loaded.model.bottleneck_dim()  # must expose a bottleneck layer
+    base = _load_model(base_checkpoint, full)
+    del full                # train owns its pixels; let the full array go
+    base.bottleneck_dim()  # must expose a bottleneck layer
+    try:
+        metric.pool_classes(train.label_array(), train.class_count)
+    except StateError as exc:   # too few classes in the data, not a program fault
+        raise ProtocolError(str(exc)) from exc
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = as_rng(cfg.seed)
-    model = loaded.model.copy()
+    model = base.copy()
     model, rows = metric.finetune(model, train, loss_cfg, schedule, rng)
     _save_training(out, model, rng, cfg,
                    {"stage": f"triplet-{loss_cfg.mode}", "steps": schedule.steps,
@@ -243,26 +260,22 @@ def cmd_evaluate(config_path, seed, out_dir, checkpoint_path, pairs_path):
     full = cfg.dataset_splits()[0]
     k = cfg.eval.k
     source = cfg.eval_pairs_path(pairs_path)
-    loaded = _load_model(checkpoint_path)
+    model = _load_model(checkpoint_path, full)
     pairs = evaluation.load_pairs_csv(source)
     resolved = evaluation.resolve_pairs(pairs, full)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scored = evaluation.score_pairs(loaded.model, resolved)
-    curve = evaluation.roc(scored)
-    report = evaluation.kfold_accuracy(scored, k)
-    pos = [p.score for p in scored if p.is_match]
-    neg = [p.score for p in scored if not p.is_match]
-    decid = metric.decidability(pos, neg)
+    scores, matches = evaluation.score_pairs(model, resolved)
+    curve = evaluation.roc(scores, matches)
+    doc = evaluation.kfold_accuracy(scores, matches, k)
+    decid = metric.decidability(scores[matches], scores[~matches])
 
     _write_csv(out / "roc.csv", ["threshold", "far", "tar"],
                [(t, f, a) for t, (f, a) in zip(curve.thresholds, curve.points)])
-    doc = evaluation.kfold_report_dict(report, k=k, decid=decid,
-                                       num_pairs=len(scored))
-    evaluation.validate_kfold_report(doc)
-    _write_json(out / "kfold.json", doc)
-    click.echo(f"k-fold accuracy {report.mean:.4f} +- {report.std:.4f} "
+    doc.update(decidability=decid, num_pairs=len(scores))
+    _write_json(out / "kfold.json", evaluation.validate_kfold_report(doc))
+    click.echo(f"k-fold accuracy {doc['mean_accuracy']:.4f} +- {doc['std']:.4f} "
                f"(k={k}); AUC {curve.auc:.4f}; decidability {decid:.4f}")
 
 

@@ -35,35 +35,21 @@ from .validation import as_rng
 
 
 @dataclass(frozen=True)
-class ScoredPair:
-    id_a: str
-    id_b: str
-    score: float                # cosine similarity in [-1, 1]
-    is_match: bool
-
-
-@dataclass(frozen=True)
 class RocCurve:
     thresholds: np.ndarray
     points: list[tuple[float, float]]   # (false_accept_rate, true_accept_rate)
     auc: float
 
 
-@dataclass(frozen=True)
-class KFoldReport:
-    per_fold_accuracy: list[float]
-    per_fold_threshold: list[float]
-    mean: float
-    std: float
-
-
 # --------------------------------------------------------------- scoring
 
 def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool]]
-                ) -> list[ScoredPair]:
-    """Cosine similarity of unit embeddings for each (image, image, is_match).
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, matches) in pair order for each (image, image, is_match).
 
-    Each distinct image object is embedded once, in first-seen order.
+    ``scores`` is a float64 array of each pair's cosine similarity, the
+    product of its two unit embeddings; ``matches`` is a bool array of the
+    flags. Each distinct image object is embedded once, in first-seen order.
     """
     slot: dict[int, int] = {}
     distinct = []
@@ -73,21 +59,18 @@ def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool
                 slot[id(im)] = len(distinct)
                 distinct.append(im)
     vectors = embed(model, distinct)
-    return [ScoredPair(id_a=a.id, id_b=b.id,
-                       score=float(vectors[slot[id(a)]] @ vectors[slot[id(b)]]),
-                       is_match=bool(is_match))
-            for a, b, is_match in pairs]
+    scores = np.array([vectors[slot[id(a)]] @ vectors[slot[id(b)]] for a, b, _ in pairs],
+                      dtype=np.float64)
+    return scores, np.array([m for _, _, m in pairs], dtype=bool)
 
 
 # ------------------------------------------------------- threshold sweep
 
-def _score_arrays(scored: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
-    scores = np.array([p.score for p in scored], dtype=np.float64)
+def _refuse_nan(scores: np.ndarray) -> None:
     n_nan = int(np.isnan(scores).sum())
     if n_nan:
         raise ProtocolError(f"{n_nan} of {len(scores)} scores are NaN; "
                             "thresholds cannot order them")
-    return scores, np.array([p.is_match for p in scored], dtype=bool)
 
 
 def _sweep(scores: np.ndarray, matches: np.ndarray
@@ -110,9 +93,9 @@ def _sweep(scores: np.ndarray, matches: np.ndarray
 
 # ------------------------------------------------------------------- ROC
 
-def roc(scored: list[ScoredPair]) -> RocCurve:
+def roc(scores: np.ndarray, matches: np.ndarray) -> RocCurve:
     """Threshold sweep over all distinct scores (acceptance: score > t)."""
-    scores, matches = _score_arrays(scored)
+    _refuse_nan(scores)
     n_pos = int(matches.sum())
     n_neg = len(matches) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -139,11 +122,6 @@ def _candidate_thresholds(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return cands, widths
 
 
-def _accuracy_at(scores: np.ndarray, matches: np.ndarray, t: float) -> float:
-    accepted = scores > t
-    return float((accepted == matches).mean())
-
-
 def _best_threshold(scores: np.ndarray, matches: np.ndarray) -> float:
     distinct, pos_from, neg_from = _sweep(scores, matches)
     cands, widths = _candidate_thresholds(distinct)
@@ -154,24 +132,24 @@ def _best_threshold(scores: np.ndarray, matches: np.ndarray) -> float:
     return float(cands[widest[0]])      # lowest threshold among widest intervals
 
 
-def kfold_accuracy(scored: list[ScoredPair], k: int) -> KFoldReport:
-    """Per-fold accuracy with the threshold chosen on the other folds."""
+def kfold_accuracy(scores: np.ndarray, matches: np.ndarray, k: int) -> dict:
+    """Per-fold accuracy with the threshold chosen on the other folds.
+
+    Returns the k-fold document: ``k``, ``per_fold_accuracy``,
+    ``per_fold_threshold``, ``mean_accuracy`` and the population ``std``.
+    """
     if k < 2:
         raise ProtocolError("k-fold protocol needs k >= 2")
-    if len(scored) < k:
-        raise ProtocolError(f"need at least {k} pairs for {k} folds, got {len(scored)}")
-    scores, matches = _score_arrays(scored)
-    folds = np.array_split(np.arange(len(scored)), k)
-
+    if len(scores) < k:
+        raise ProtocolError(f"need at least {k} pairs for {k} folds, got {len(scores)}")
+    _refuse_nan(scores)
     accs, thresholds = [], []
-    for fold in folds:
+    for fold in np.array_split(np.arange(len(scores)), k):
         t = _best_threshold(np.delete(scores, fold), np.delete(matches, fold))
         thresholds.append(t)
-        accs.append(_accuracy_at(scores[fold], matches[fold], t))
-    accs_arr = np.array(accs)
-    return KFoldReport(per_fold_accuracy=[float(a) for a in accs],
-                       per_fold_threshold=thresholds,
-                       mean=float(accs_arr.mean()), std=float(accs_arr.std()))
+        accs.append(float(((scores[fold] > t) == matches[fold]).mean()))
+    return {"k": k, "per_fold_accuracy": accs, "per_fold_threshold": thresholds,
+            "mean_accuracy": float(np.mean(accs)), "std": float(np.std(accs))}
 
 
 # ------------------------------------------------------- map statistics
@@ -255,22 +233,6 @@ def resolve_pairs(pairs: list[tuple[str, str, bool]], dataset: Dataset
 
 
 # --------------------------------------------------------------- reports
-
-def kfold_report_dict(report: KFoldReport, *, k: int, decid: float | None = None,
-                      num_pairs: int | None = None) -> dict:
-    out = {
-        "k": k,
-        "per_fold_accuracy": report.per_fold_accuracy,
-        "per_fold_threshold": report.per_fold_threshold,
-        "mean_accuracy": report.mean,
-        "std": report.std,
-    }
-    if decid is not None:
-        out["decidability"] = decid
-    if num_pairs is not None:
-        out["num_pairs"] = num_pairs
-    return out
-
 
 def validate_kfold_report(doc: dict) -> dict:
     """Schema check for a k-fold report; returns the document unchanged."""

@@ -209,13 +209,20 @@ def decidability(pos_scores, neg_scores) -> float:
 
 # -------------------------------------------------------------- finetune
 
+def pool_classes(labels: np.ndarray, class_count: int) -> list[int]:
+    """The classes a pool draws from, those with at least two samples;
+    StateError unless there are two."""
+    eligible = [c for c in range(class_count) if (labels == c).sum() >= 2]
+    if len(eligible) < 2:
+        raise StateError("fine-tuning needs at least two classes with two samples each")
+    return eligible
+
+
 def _sample_pool(dataset: Dataset, schedule: FinetuneSchedule, rng) -> np.ndarray:
     """Indices of a candidate pool: up to pool_classes classes (each with at
     least two samples) and up to pool_per_class images per class."""
     labels = dataset.label_array()
-    eligible = [c for c in range(dataset.class_count) if (labels == c).sum() >= 2]
-    if len(eligible) < 2:
-        raise StateError("fine-tuning needs at least two classes with two samples each")
+    eligible = pool_classes(labels, dataset.class_count)
     chosen = rng.choice(eligible, size=min(schedule.pool_classes, len(eligible)),
                         replace=False)
     picks = []

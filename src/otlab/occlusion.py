@@ -507,8 +507,10 @@ def save_map_csv(occ_map: OcclusionMap, path) -> None:
         np.savetxt(fh, occ_map.grid, fmt="%.6f", delimiter=",")
 
 
-def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),
-                 sample_count: int = 1) -> OcclusionMap:
+def load_map_csv(path) -> OcclusionMap:
+    """The map saved at ``path``. A map CSV holds only the grid, so the map
+    read from it does not know its occluder or sample count: they read
+    ``(0, 0)`` and ``1``."""
     grid = np.empty((0, 0))
     # numpy warns on a file with no data line; "#" starts a comment for np.loadtxt
     if any(line.split(b"#", 1)[0].strip() for line in Path(path).read_bytes().splitlines()):
@@ -520,8 +522,7 @@ def load_map_csv(path, *, occluder_shape: tuple[int, int] = (0, 0),
     if grid.size == 0 or len(bad):
         where = "cell ({}, {}) is {}".format(*bad[0], grid[tuple(bad[0])]) if len(bad) else "no cells"
         raise FormatError(f"{path}: {where}; map cells must be finite and lie in [0, 1]")
-    return OcclusionMap(grid=grid, sample_count=sample_count,
-                        occluder_shape=occluder_shape)
+    return OcclusionMap(grid=grid, sample_count=1, occluder_shape=(0, 0))
 
 
 # ------------------------------------------------------------- analysis

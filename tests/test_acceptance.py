@@ -276,15 +276,12 @@ def test_criterion_3_oracle_equivalence():
         scores = np.round(rng.normal(size=m), 2)
         matches = rng.random(m) > 0.5
         matches[:2] = [True, False]
-        from otlab.evaluation import ScoredPair
-        scored = [ScoredPair(f"a{i}", f"b{i}", float(s), bool(v))
-                  for i, (s, v) in enumerate(zip(scores, matches))]
-        rep = kfold_accuracy(scored, k=10)
+        rep = kfold_accuracy(scores, matches, k=10)
         accs, thresholds = kfold_loops(list(scores), list(matches), 10)
-        kfold_ok &= np.allclose(rep.per_fold_accuracy, accs, atol=1e-12)
-        kfold_ok &= np.allclose(rep.per_fold_threshold, thresholds, atol=1e-12)
+        kfold_ok &= np.allclose(rep["per_fold_accuracy"], accs, atol=1e-12)
+        kfold_ok &= np.allclose(rep["per_fold_threshold"], thresholds, atol=1e-12)
 
-        curve = roc(scored)
+        curve = roc(scores, matches)
         kfold_ok &= curve.points == roc_points_loops(list(scores), list(matches))
 
     # binary occlusion maps vs an independent position sweep on 8x8 images
@@ -447,12 +444,11 @@ def test_criterion_7_triplet_trend():
             model, _rows = finetune(model, train,
                                     LossConfig(mode=mode, online=online, max_triplets=64),
                                     schedule, np.random.default_rng(seed))
-            scored = score_pairs(model, resolved)
-            pos = np.array([p.score for p in scored if p.is_match])
-            neg = np.array([p.score for p in scored if not p.is_match])
+            scores, matches = score_pairs(model, resolved)
+            pos, neg = scores[matches], scores[~matches]
             var_sum = pos.var() + neg.var()
             decid = abs(pos.mean() - neg.mean()) / np.sqrt(var_sum / 2.0)
-            kf = kfold_accuracy(scored, 10).mean
+            kf = kfold_accuracy(scores, matches, 10)["mean_accuracy"]
             results[mode].append((var_sum, decid, kf))
 
     med = {mode: tuple(statistics.median(v[i] for v in vals) for i in range(3))

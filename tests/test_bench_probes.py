@@ -127,3 +127,28 @@ def test_probes_count_one_map_span_and_one_scan_per_image(rng):
         patcher.restore()
     counts = Counter(span.name for span in tracer.spans)
     assert (counts["occlusion.map"], counts["occlusion.scan"]) == (1, 4)
+
+
+def test_probes_time_the_evaluate_path_once_each(rng):
+    # six pairs over four images: the score span counts the distinct images,
+    # which is what the embed span embeds
+    dataset = generate_synthetic(SyntheticSpec(class_count=2, samples_per_class=2,
+                                               image_size=8, seed=0))
+    a, b, c, d = dataset.images
+    pairs = [(a, b, True), (c, d, True), (a, c, False), (b, d, False), (a, b, True),
+             (d, a, False)]
+    model = init_model(default_architecture(8, 2), rng)
+    tracer, patcher = Tracer(), Patcher()
+    try:
+        probes.install(tracer, patcher)
+        scores, matches = otlab.evaluation.score_pairs(model, pairs)
+        otlab.evaluation.roc(scores, matches)
+        otlab.evaluation.kfold_accuracy(scores, matches, 2)
+    finally:
+        patcher.restore()
+    spans = {span.name: span for span in tracer.spans}
+    names = ("evaluation.score", "evaluation.embed", "evaluation.roc", "evaluation.kfold")
+    assert Counter(span.name for span in tracer.spans
+                   if span.name.startswith("evaluation.")) == dict.fromkeys(names, 1)
+    assert spans["evaluation.score"].attrs["distinct"] == 4
+    assert spans["evaluation.embed"].attrs["images"] == 4

@@ -464,6 +464,43 @@ def test_missing_checkpoint_exits_2(tmp_path, runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, synthetic, message", [
+    pytest.param(command, {"image_size": 12},
+                 "model input [10, 10, 1] does not match the dataset's images [12, 12, 1]",
+                 id=f"{command}-image")
+    for command in ("occlusion-map", "train-augmented", "finetune-triplet", "evaluate")
+] + [pytest.param("train-augmented", {"class_count": 5},
+                  "model has 4 outputs, fewer than the dataset's 5 classes",
+                  id="train-augmented-classes")])
+def test_a_checkpoint_that_does_not_fit_the_data_exits_2_before_any_output(
+        tmp_path, runner, command, synthetic, message):
+    ckpt = tmp_path / "model.otl"
+    save_checkpoint(init_model(default_architecture(10, 4), 0), ckpt)
+    cfg = write_config(tmp_path, placement_mode="R",
+                       dataset={"synthetic": dict(SYNTHETIC, **synthetic)})
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("id_a,id_b,is_match\nc00/s000,c00/s001,1\n")
+    out = tmp_path / "out"
+    args = [command, "--config", str(cfg), "--out", str(out), str(ckpt)]
+    result = runner.invoke(main, args + (["--pairs", str(pairs)] if command == "evaluate" else []))
+    assert result.exit_code == 2, result.output
+    assert f"{ckpt}: {message}" in result.output
+    assert not out.exists()
+
+
+def test_finetune_on_one_class_exits_4_before_any_output(tmp_path, runner):
+    ckpt = tmp_path / "model.otl"
+    save_checkpoint(init_model(default_architecture(10, 4), 0), ckpt)
+    cfg = write_config(tmp_path, dataset={"synthetic": dict(SYNTHETIC, class_count=1)})
+    out = tmp_path / "s4"
+    result = runner.invoke(main, ["finetune-triplet", "--config", str(cfg), "--out", str(out),
+                                  str(ckpt)])
+    assert result.exit_code == 4, result.output
+    assert "fine-tuning needs at least two classes with two samples each" in result.output
+    assert isinstance(result.exception, SystemExit)     # refused, not a traceback
+    assert not out.exists()
+
+
 def test_train_augmented_p_mode_requires_map(tmp_path, runner):
     cfg = write_config(tmp_path)
     out = tmp_path / "s1"

@@ -9,9 +9,7 @@ from otlab.engine import forward_features
 from otlab.engine.model import Dense, Model, default_architecture, init_model
 from otlab.errors import FormatError, ProtocolError
 from otlab.evaluation import (
-    ScoredPair,
     kfold_accuracy,
-    kfold_report_dict,
     load_pairs_csv,
     make_verification_pairs,
     map_accuracy_stats,
@@ -28,8 +26,8 @@ from oracles import kfold_loops, mann_whitney, roc_points_loops
 
 
 def _pairs(scores, matches):
-    return [ScoredPair(id_a=f"a{i}", id_b=f"b{i}", score=float(s), is_match=bool(m))
-            for i, (s, m) in enumerate(zip(scores, matches))]
+    """(scores, matches) as ``score_pairs`` returns them."""
+    return np.array(scores, dtype=np.float64), np.array(matches, dtype=bool)
 
 
 def _linear_embed_model():
@@ -50,14 +48,15 @@ def _img(v, label=0, id_="x"):
 def test_identical_images_score_one():
     model = _linear_embed_model()
     a = _img([0.6, 0.8], id_="a")
-    scored = score_pairs(model, [(a, a, True)])
-    assert scored[0].score == pytest.approx(1.0, abs=1e-10)
+    scores, matches = score_pairs(model, [(a, a, True)])
+    assert scores[0] == pytest.approx(1.0, abs=1e-10)
+    assert matches.tolist() == [True]
 
 
 def test_orthogonal_images_score_zero():
     model = _linear_embed_model()
-    scored = score_pairs(model, [(_img([1.0, 0.0], id_="a"), _img([0.0, 1.0], id_="b"), False)])
-    assert scored[0].score == pytest.approx(0.0, abs=1e-12)
+    scores, _ = score_pairs(model, [(_img([1.0, 0.0], id_="a"), _img([0.0, 1.0], id_="b"), False)])
+    assert scores[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_antipodal_embeddings_score_minus_one():
@@ -67,8 +66,8 @@ def test_antipodal_embeddings_score_minus_one():
                    "dense1.bias": np.zeros(1),
                    "dense2.weight": np.zeros((1, 2)),
                    "dense2.bias": np.zeros(2)})
-    scored = score_pairs(model, [(_img([1.0, 0.0], id_="a"), _img([0.0, 1.0], id_="b"), False)])
-    assert scored[0].score == pytest.approx(-1.0, abs=1e-12)
+    scores, _ = score_pairs(model, [(_img([1.0, 0.0], id_="a"), _img([0.0, 1.0], id_="b"), False)])
+    assert scores[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_scores_equal_per_pair_embedding_path(monkeypatch):
@@ -86,9 +85,10 @@ def test_scores_equal_per_pair_embedding_path(monkeypatch):
     embedded = []
     monkeypatch.setattr(evaluation, "embed",
                         lambda m, images: embedded.append(len(images)) or embed(m, images))
-    scored = score_pairs(model, pairs)
-    assert [sp.score for sp in scored] == expected
-    assert [(sp.id_a, sp.id_b, sp.is_match) for sp in scored] == ids
+    scores, matches = score_pairs(model, pairs)
+    assert scores.dtype == np.float64 and matches.dtype == bool
+    assert scores.tolist() == expected
+    assert matches.tolist() == [m for _, _, m in ids]
     assert embedded == [len({id(im) for pair in pairs for im in pair[:2]})]
 
 
@@ -96,24 +96,24 @@ def test_scores_equal_independent_dot_products(rng):
     model = _linear_embed_model()
     pairs = [(_img(rng.random(2), id_=f"a{k}"), _img(rng.random(2), id_=f"b{k}"), True)
              for k in range(6)]
-    scored = score_pairs(model, pairs)
-    for (a, b, _), sp in zip(pairs, scored):
+    scores, _ = score_pairs(model, pairs)
+    for (a, b, _), score in zip(pairs, scores):
         fa = forward_features(model, a.pixels[None, :, :, None])[0]
         fb = forward_features(model, b.pixels[None, :, :, None])[0]
         expected = float((fa / np.linalg.norm(fa)) @ (fb / np.linalg.norm(fb)))
-        assert sp.score == pytest.approx(expected, abs=1e-12)
+        assert score == pytest.approx(expected, abs=1e-12)
 
 
 # --------------------------------------------------------------------- ROC
 
 def test_perfectly_separated_scores_have_unit_auc():
     scored = _pairs([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
-    assert roc(scored).auc == pytest.approx(1.0, abs=1e-12)
+    assert roc(*scored).auc == pytest.approx(1.0, abs=1e-12)
 
 
 def test_identical_scores_give_diagonal():
     scored = _pairs([0.5] * 8, [True, False] * 4)
-    curve = roc(scored)
+    curve = roc(*scored)
     assert curve.points[0] == (0.0, 0.0)
     assert curve.points[-1] == (1.0, 1.0)
     assert curve.auc == pytest.approx(0.5, abs=1e-12)
@@ -123,14 +123,14 @@ def test_roc_matches_counting_oracle(rng):
     scores = rng.normal(size=20)
     matches = rng.random(20) > 0.5
     matches[0], matches[1] = True, False       # both classes present
-    curve = roc(_pairs(scores, matches))
+    curve = roc(scores, matches)
     assert curve.points == roc_points_loops(list(scores), list(matches))
 
 
 def test_roc_far_tar_nondecreasing(rng):
     scores = rng.normal(size=50)
     matches = np.r_[np.ones(25, bool), np.zeros(25, bool)]
-    curve = roc(_pairs(scores, matches))
+    curve = roc(scores, matches)
     fars = [p[0] for p in curve.points]
     tars = [p[1] for p in curve.points]
     assert all(a <= b + 1e-15 for a, b in zip(fars, fars[1:]))
@@ -142,8 +142,8 @@ def test_roc_invariant_under_monotone_transform(seed):
     rng = np.random.default_rng(seed)
     scores = rng.normal(size=30)
     matches = np.r_[np.ones(15, bool), np.zeros(15, bool)]
-    base = roc(_pairs(scores, matches))
-    warped = roc(_pairs(np.exp(scores) + 3.0, matches))
+    base = roc(scores, matches)
+    warped = roc(np.exp(scores) + 3.0, matches)
     assert base.points == warped.points
 
 
@@ -151,13 +151,13 @@ def test_roc_auc_equals_mann_whitney(rng):
     scores = np.round(rng.normal(size=200), 1)   # rounding forces ties
     matches = rng.random(200) > 0.4
     matches[:2] = [True, False]
-    curve = roc(_pairs(scores, matches))
+    curve = roc(scores, matches)
     assert curve.auc == pytest.approx(mann_whitney(list(scores), list(matches)), abs=1e-10)
 
 
 def test_roc_single_class_rejected():
     with pytest.raises(ProtocolError):
-        roc(_pairs([0.1, 0.2], [True, True]))
+        roc(*_pairs([0.1, 0.2], [True, True]))
 
 
 # ------------------------------------------------------------------ k-fold
@@ -166,26 +166,24 @@ def test_perfectly_separable_kfold_is_perfect():
     scores = [0.9, 0.8, 0.85, 0.7, 0.95, 0.1, 0.2, 0.15, 0.05, 0.12]
     matches = [True] * 5 + [False] * 5
     order = np.argsort(np.arange(10) % 5)        # interleave folds with both kinds
-    scored = _pairs(np.array(scores)[order], np.array(matches)[order])
-    report = kfold_accuracy(scored, k=5)
-    assert report.per_fold_accuracy == [1.0] * 5
-    assert report.mean == 1.0 and report.std == 0.0
+    report = kfold_accuracy(np.array(scores)[order], np.array(matches)[order], k=5)
+    assert report["per_fold_accuracy"] == [1.0] * 5
+    assert report["mean_accuracy"] == 1.0 and report["std"] == 0.0
 
 
 def test_all_equal_scores_balanced_is_half():
-    scored = _pairs([0.5] * 20, [True, False] * 10)
-    report = kfold_accuracy(scored, k=5)
-    assert report.per_fold_accuracy == [0.5] * 5
+    report = kfold_accuracy(*_pairs([0.5] * 20, [True, False] * 10), k=5)
+    assert report["per_fold_accuracy"] == [0.5] * 5
 
 
 def test_kfold_matches_brute_force_oracle(rng):
     scores = np.round(rng.normal(size=50), 2)
     matches = rng.random(50) > 0.5
     matches[:2] = [True, False]
-    report = kfold_accuracy(_pairs(scores, matches), k=5)
+    report = kfold_accuracy(scores, matches, k=5)
     accs, thresholds = kfold_loops(list(scores), list(matches), 5)
-    assert report.per_fold_accuracy == accs
-    assert report.per_fold_threshold == thresholds
+    assert report["per_fold_accuracy"] == accs
+    assert report["per_fold_threshold"] == thresholds
 
 
 @st.composite
@@ -208,18 +206,18 @@ def _tied_scores(draw):
 def test_sweep_equals_loop_oracles_exactly(case):
     scores, matches, k = case
     scored = _pairs(scores, matches)
-    assert roc(scored).points == roc_points_loops(scores, matches)
-    report = kfold_accuracy(scored, k)
-    assert (report.per_fold_accuracy, report.per_fold_threshold) == \
+    assert roc(*scored).points == roc_points_loops(scores, matches)
+    report = kfold_accuracy(*scored, k)
+    assert (report["per_fold_accuracy"], report["per_fold_threshold"]) == \
         kfold_loops(scores, matches, k)
 
 
 def test_nan_scores_rejected():
     scored = _pairs([0.1, float("nan"), 0.9, 0.2], [True, False, True, False])
     with pytest.raises(ProtocolError, match="1 of 4 scores are NaN"):
-        roc(scored)
+        roc(*scored)
     with pytest.raises(ProtocolError, match="1 of 4 scores are NaN"):
-        kfold_accuracy(scored, k=2)
+        kfold_accuracy(*scored, k=2)
 
 
 def test_threshold_depends_only_on_held_in_folds(rng):
@@ -228,21 +226,20 @@ def test_threshold_depends_only_on_held_in_folds(rng):
     scores = rng.normal(size=40)
     matches = rng.random(40) > 0.5
     matches[:2] = [True, False]
-    scored = _pairs(scores, matches)
-    report = kfold_accuracy(scored, k=4)
+    report = kfold_accuracy(scores, matches, k=4)
     folds = np.array_split(np.arange(40), 4)
     for f, fold in enumerate(folds):
         held = np.setdiff1d(np.arange(40), fold)
         t = _best_threshold(scores[held], matches[held])
-        assert t == report.per_fold_threshold[f]
+        assert t == report["per_fold_threshold"][f]
 
 
 def test_kfold_protocol_errors():
     scored = _pairs([0.1, 0.9], [False, True])
     with pytest.raises(ProtocolError):
-        kfold_accuracy(scored, k=1)
+        kfold_accuracy(*scored, k=1)
     with pytest.raises(ProtocolError):
-        kfold_accuracy(scored, k=3)
+        kfold_accuracy(*scored, k=3)
 
 
 # --------------------------------------------------------------- map stats
@@ -336,8 +333,8 @@ def test_identical_vs_disjoint_pairs_reach_full_accuracy():
                      np.random.default_rng(0))
     pairs = [(im, im, True) for im in ds.images[:8]]
     pairs += [(a, b, False) for a, b in zip(ds.images[:8], ds.images[8:16])]
-    report = kfold_accuracy(score_pairs(model, pairs), k=4)
-    assert report.mean == 1.0 and report.std == 0.0
+    report = kfold_accuracy(*score_pairs(model, pairs), k=4)
+    assert report["mean_accuracy"] == 1.0 and report["std"] == 0.0
 
 
 # ----------------------------------------------------------------- reports
@@ -346,8 +343,7 @@ def test_kfold_report_round_trips_schema(rng):
     scores = rng.normal(size=30)
     matches = rng.random(30) > 0.5
     matches[:2] = [True, False]
-    report = kfold_accuracy(_pairs(scores, matches), k=3)
-    doc = kfold_report_dict(report, k=3, decid=1.5, num_pairs=30)
+    doc = {**kfold_accuracy(scores, matches, k=3), "decidability": 1.5, "num_pairs": 30}
     import json
     assert validate_kfold_report(json.loads(json.dumps(doc))) == doc
 
