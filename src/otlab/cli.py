@@ -157,10 +157,10 @@ def cmd_train_classifier(config_path, seed, out_dir):
 def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     """Aggregate occlusion map of a trained model over validation images."""
     cfg = ExperimentConfig.load(config_path, seed)
-    full, _, val = cfg.dataset_splits()
+    full, train, val = cfg.dataset_splits()
     spec = _occluder(cfg)
     model = _load_model(checkpoint_path, full)
-    del full                # val owns its pixels; let the full array go
+    del full, train         # val owns its pixels; let the others go
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,11 +192,11 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
 def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
     """Continue classification training on occlusion-augmented batches."""
     cfg = ExperimentConfig.load(config_path, seed)
-    full, train, _ = cfg.dataset_splits()
+    full, train, val = cfg.dataset_splits()
     schedule, mode = cfg.schedule, cfg.placement_mode
     spec = _occluder(cfg)
     base = _load_model(base_checkpoint, full, classify=True)
-    del full                # train owns its pixels; let the full array go
+    del full, val           # train owns its pixels; let the others go
     h, w = train.image_shape()
 
     if mode == "P":
@@ -225,10 +225,10 @@ def cmd_train_augmented(config_path, seed, out_dir, base_checkpoint, map_path):
 def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     """Fine-tune the embedding with the standard or batch triplet objective."""
     cfg = ExperimentConfig.load(config_path, seed)
-    full, train, _ = cfg.dataset_splits()
+    full, train, val = cfg.dataset_splits()
     loss_cfg, schedule = cfg.loss, cfg.finetune
     base = _load_model(base_checkpoint, full)
-    del full                # train owns its pixels; let the full array go
+    del full, val           # train owns its pixels; let the others go
     base.bottleneck_dim()  # must expose a bottleneck layer
     try:
         metric.pool_classes(train.label_array(), train.class_count)
