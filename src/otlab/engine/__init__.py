@@ -1,7 +1,7 @@
 """Minimal deterministic network engine: autodiff, layers, SGD, checkpoints."""
 
 from .autodiff import Node, gradients
-from .checkpoint import Checkpoint, load_checkpoint, read_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, read_checkpoint, save_checkpoint
 from .model import (
     Conv,
     Dense,
@@ -16,17 +16,17 @@ from .model import (
     predict,
     trace,
 )
-from .ops import softmax_cross_entropy, softmax_cross_entropy_value, softmax_value
+from .ops import softmax_cross_entropy, softmax_cross_entropy_value
 from .optim import Sgd, backward, sgd_step
 from .train import Schedule, train_accuracy, train_classifier
 
 __all__ = [
     "Node", "gradients",
-    "Checkpoint", "load_checkpoint", "read_checkpoint", "save_checkpoint",
+    "Checkpoint", "read_checkpoint", "save_checkpoint",
     "Conv", "Dense", "MaxPool", "Model", "Relu", "Trace",
     "default_architecture", "forward", "forward_features", "init_model",
     "predict", "trace",
-    "softmax_cross_entropy", "softmax_cross_entropy_value", "softmax_value",
+    "softmax_cross_entropy", "softmax_cross_entropy_value",
     "Sgd", "backward", "sgd_step",
     "Schedule", "train_accuracy", "train_classifier",
 ]

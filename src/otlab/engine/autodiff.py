@@ -55,26 +55,14 @@ class Node:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
 
     def __mul__(self, other):
         return multiply(self, other)
 
     def __rmul__(self, other):
         return multiply(other, self)
-
-    def __neg__(self):
-        return multiply(self, -1.0)
-
-    def __repr__(self):
-        return f"Node(shape={self.value.shape})"
 
 
 def as_node(x) -> Node:

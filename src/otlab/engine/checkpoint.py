@@ -155,7 +155,3 @@ def _tensor_entry(path, name, entry) -> tuple[list[int], int, int]:
             raise CorruptionError(f"{path}: tensor {name!r} {field} must be a "
                                   f"nonnegative integer, got {value!r}")
     return shape, off, length
-
-
-def load_checkpoint(path) -> Model:
-    return read_checkpoint(path).model

@@ -228,11 +228,10 @@ def init_model(config: dict, rng) -> Model:
     return Model(config["input"], layers, params)
 
 
-def default_architecture(image_size: int, classes: int, channels: int = 1,
-                         bottleneck: int = 32) -> dict:
+def default_architecture(image_size: int, classes: int, bottleneck: int = 32) -> dict:
     """Desk-scale default: two conv/pool blocks into a narrow bottleneck."""
     return {
-        "input": [image_size, image_size, channels],
+        "input": [image_size, image_size, 1],
         "layers": [
             {"type": "conv", "kernel": [3, 3], "filters": 8, "padding": 1},
             {"type": "relu"},

@@ -177,12 +177,6 @@ def dense(x, weight, bias) -> Node:
 
 # -------------------------------------------------- softmax cross-entropy
 
-def softmax_value(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy_value(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch plus the softmax probabilities.
 

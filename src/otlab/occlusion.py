@@ -58,7 +58,7 @@ from .data import LabeledImage
 from .engine.model import (INFERENCE_ROWS, SPATIAL_ROWS, Conv, Model, Relu, apply_layer, forward,
                            spatial_depth, walk_blocks)
 from .errors import FormatError, ProtocolError
-from .validation import as_rng, at_least, check_outputs, from_section
+from .validation import as_rng, at_least, check_outputs
 
 NOISE_MODELS = ("none", "salt_pepper", "speckle", "gaussian", "random")
 
@@ -91,20 +91,15 @@ class OccluderSpec:
         if self.noise_level is not None:
             at_least(0, noise_level=self.noise_level)
 
-    @classmethod
-    def from_config(cls, cfg) -> "OccluderSpec":
-        """A spec from its JSON-style dict; a spec is returned unchanged."""
-        return cfg if isinstance(cfg, cls) else from_section(cls, cfg, "occluder")
 
-
-def default_occluders(image_size: int, **overrides) -> dict[str, OccluderSpec]:
+def default_occluders(image_size: int) -> dict[str, OccluderSpec]:
     """Small/medium/large occluders scaled to 20% and 40% of the image side."""
     a = int(round(0.2 * image_size))
     b = int(round(0.4 * image_size))
     return {
-        "small": OccluderSpec(height=a, width=a, **overrides),
-        "medium": OccluderSpec(height=a, width=b, **overrides),
-        "large": OccluderSpec(height=b, width=b, **overrides),
+        "small": OccluderSpec(height=a, width=a),
+        "medium": OccluderSpec(height=a, width=b),
+        "large": OccluderSpec(height=b, width=b),
     }
 
 

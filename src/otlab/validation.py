@@ -164,23 +164,6 @@ def check_single_image(x, *, name: str = "image") -> np.ndarray:
     return check_finite(x, name)
 
 
-def check_labels(y, n_classes: int | None = None, *, name: str = "y") -> np.ndarray:
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {y.shape}")
-    if not np.issubdtype(y.dtype, np.integer):
-        rounded = np.rint(np.asarray(y, dtype=np.float64)).astype(np.int64)
-        if not np.array_equal(rounded, np.asarray(y, dtype=np.float64)):
-            raise ValueError(f"{name} must contain integer class indices")
-        y = rounded
-    y = y.astype(np.int64)
-    if y.size and y.min() < 0:
-        raise ValueError(f"{name} contains negative class indices")
-    if n_classes is not None and y.size and y.max() >= n_classes:
-        raise ValueError(f"{name} contains label {y.max()} but only {n_classes} classes exist")
-    return y
-
-
 def check_rect(rect, bounds: tuple[int, int], *, name: str = "rect") -> tuple[int, int, int, int]:
     """Validate a (top, left, height, width) rectangle against (H, W) bounds."""
     top, left, height, width = (int(v) for v in rect)

@@ -20,7 +20,7 @@ from otlab.atomic import atomic_write
 from otlab.cli import _write_csv, main
 from otlab.config import ExperimentConfig
 from otlab.data import save_pgm
-from otlab.engine import load_checkpoint, read_checkpoint, save_checkpoint
+from otlab.engine import read_checkpoint, save_checkpoint
 from otlab.engine.model import Dense, Model, default_architecture, init_model
 from otlab.errors import ConfigError
 from otlab.evaluation import make_verification_pairs, save_pairs_csv
@@ -125,7 +125,7 @@ def test_zero_steps_writes_initial_checkpoint(tmp_path, runner):
     run_ok(runner, ["train-classifier", "--config", str(cfg), "--out", str(out)])
     log = (out / "train_log.csv").read_text().splitlines()
     assert log == ["step,loss,accuracy"]
-    assert load_checkpoint(out / "checkpoint.otl").params
+    assert read_checkpoint(out / "checkpoint.otl").model.params
 
 
 def test_same_seed_bit_identical_checkpoints(tmp_path, runner):

@@ -19,7 +19,6 @@ from otlab.engine import (
     init_model,
     save_checkpoint,
     read_checkpoint,
-    load_checkpoint,
     softmax_cross_entropy,
     softmax_cross_entropy_value,
     sgd_step,
@@ -70,6 +69,16 @@ def small_config(classes=3):
             {"type": "dense", "units": classes},
         ],
     }
+
+
+# ----------------------------------------------------------------- exports
+
+def test_every_exported_name_resolves():
+    import otlab
+    import otlab.engine
+    for module in (otlab, otlab.engine):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
 
 
 # ----------------------------------------------------------------- forward
@@ -798,7 +807,7 @@ def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.otl"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
     with pytest.raises(FormatError, match="magic"):
-        load_checkpoint(path)
+        read_checkpoint(path)
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -808,7 +817,7 @@ def test_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "old.otl"
     path.write_bytes(b"OTL1" + len(header).to_bytes(4, "little") + header)
     with pytest.raises(FormatError, match="version"):
-        load_checkpoint(path)
+        read_checkpoint(path)
 
 
 def test_checkpoint_truncated_payload(rng, tmp_path):
@@ -818,7 +827,7 @@ def test_checkpoint_truncated_payload(rng, tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(CorruptionError):
-        load_checkpoint(path)
+        read_checkpoint(path)
 
 
 def _rewrite_header(path, edit):
