@@ -166,7 +166,7 @@ def cmd_occlusion_map(config_path, seed, out_dir, workers, checkpoint_path):
     out.mkdir(parents=True, exist_ok=True)
     rng = as_rng(cfg.seed)
     occ_map, info = occlusion.dataset_occlusion_map(
-        model, val.images, spec, rng, stride=cfg.stride, limit=cfg.map_images,
+        model, val, spec, rng, stride=cfg.stride, limit=cfg.map_images,
         workers=workers)
     mean_acc, std = evaluation.map_accuracy_stats(occ_map)
     occlusion.save_map_csv(occ_map, out / "map.csv")
@@ -231,7 +231,7 @@ def cmd_finetune_triplet(config_path, seed, out_dir, base_checkpoint):
     del full, val           # train owns its pixels; let the others go
     base.bottleneck_dim()  # must expose a bottleneck layer
     try:
-        metric.pool_classes(train.label_array(), train.class_count)
+        metric.pool_classes(train.labels, train.class_count)
     except StateError as exc:   # too few classes in the data, not a program fault
         raise ProtocolError(str(exc)) from exc
 

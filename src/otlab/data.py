@@ -5,6 +5,10 @@ rectangle over a background shared by every class, so "which pixels carry
 identity" has a ground truth that downstream sensitivity analysis can be
 checked against.
 
+A :class:`Dataset` is its arrays, one row per image, and every stage reads
+it by row: ``Dataset.take`` copies rows out (a split, half a validation
+set) and ``Dataset.image`` views one row as a :class:`LabeledImage`.
+
 PGM (binary P5, 8-bit) is the only image codec: bit-exact and dependency
 free. Directory datasets follow ``<root>/<class_name>/<image>.pgm`` with
 class names mapped to indices in sorted order.
@@ -12,7 +16,7 @@ class names mapped to indices in sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,36 +33,43 @@ class LabeledImage:
     id: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    images: list[LabeledImage]
+    """A labeled image set: row ``i`` is image ``pixels[i]`` with class
+    ``labels[i]`` and name ``ids[i]``."""
+
+    pixels: np.ndarray          # (N, H, W) float64 in [0, 1]
+    labels: np.ndarray          # (N,) int64
+    ids: tuple[str, ...]
     class_count: int
-    split_tag: str = "train"
-    _array_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=np.float64))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
+        object.__setattr__(self, "ids", tuple(self.ids))
+        if self.pixels.ndim != 3:
+            raise ValueError(f"pixels must have shape (N, H, W), got {self.pixels.shape}")
+        n = len(self.pixels)
+        if self.labels.shape != (n,) or len(self.ids) != n:
+            raise ValueError(f"{n} images need {n} labels and {n} ids, got labels of "
+                             f"shape {self.labels.shape} and {len(self.ids)} ids")
 
     def __len__(self):
-        return len(self.images)
-
-    def image_array(self) -> np.ndarray:
-        """All pixels stacked to (N, H, W); cached. A dataset with no images
-        has no image shape, so without a cache it raises StateError."""
-        if self._array_cache is None:
-            if not self.images:
-                raise StateError("dataset has no images to stack")
-            self._array_cache = np.stack([im.pixels for im in self.images])
-        return self._array_cache
-
-    def label_array(self) -> np.ndarray:
-        return np.array([im.label for im in self.images], dtype=np.int64)
-
-    def ids(self) -> list[str]:
-        return [im.id for im in self.images]
-
-    def by_id(self) -> dict[str, LabeledImage]:
-        return {im.id: im for im in self.images}
+        return len(self.ids)
 
     def image_shape(self) -> tuple[int, int]:
-        return self.images[0].pixels.shape if self.images else (0, 0)
+        return self.pixels.shape[1:]
+
+    def take(self, rows) -> "Dataset":
+        """The images at ``rows``, in that order, in a dataset that owns a copy
+        of their pixels."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset(pixels=self.pixels[rows], labels=self.labels[rows],
+                       ids=[self.ids[i] for i in rows], class_count=self.class_count)
+
+    def image(self, i: int) -> LabeledImage:
+        """Image ``i``; its ``pixels`` is a view of this dataset's."""
+        return LabeledImage(pixels=self.pixels[i], label=int(self.labels[i]), id=self.ids[i])
 
 
 # ------------------------------------------------------------------ PGM
@@ -117,17 +128,21 @@ def load_directory(root) -> Dataset:
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not class_dirs:
         raise FormatError(f"{root}: no class directories found")
-    images, first = [], None
+    pixels, labels, ids, first = [], [], [], None
     for label, class_dir in enumerate(class_dirs):
         for pgm in sorted(class_dir.glob("*.pgm")):
-            pixels = load_pgm(pgm)
-            first = first or (pgm, pixels.shape)
-            if pixels.shape != first[1]:
-                raise FormatError(f"{pgm}: image shape {pixels.shape} differs from "
+            image = load_pgm(pgm)
+            first = first or (pgm, image.shape)
+            if image.shape != first[1]:
+                raise FormatError(f"{pgm}: image shape {image.shape} differs from "
                                   f"{first[0]}'s {first[1]}")
-            images.append(LabeledImage(pixels=pixels, label=label,
-                                       id=f"{class_dir.name}/{pgm.stem}"))
-    return Dataset(images=images, class_count=len(class_dirs))
+            pixels.append(image)
+            labels.append(label)
+            ids.append(f"{class_dir.name}/{pgm.stem}")
+    if not pixels:
+        raise FormatError(f"{root}: no .pgm images in its class directories")
+    return Dataset(pixels=np.stack(pixels), labels=labels, ids=ids,
+                   class_count=len(class_dirs))
 
 
 # ------------------------------------------------------- synthetic data
@@ -171,9 +186,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     ``cue_strength`` contrast, then per-image Gaussian pixel noise, clipped
     to [0, 1]. Draw order (background, all class cues, then per-image noise,
     one draw per class covering its images in order) is fixed so determinism
-    holds even when the cue is unused. Images are rendered into one
-    (N, H, W) array, which becomes the dataset's ``image_array``; each
-    image's ``pixels`` is a view of it.
+    holds even when the cue is unused. Images are rendered straight into
+    the dataset's (N, H, W) ``pixels``; image ``i`` has label
+    ``i // samples_per_class`` and id ``c<label>/s<i % samples_per_class>``.
     """
     top, left, ch, cw = spec.resolved_cue_region()
 
@@ -195,9 +210,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         else:
             block[:] = base
         np.clip(block, 0.0, 1.0, out=block)
-    images = [LabeledImage(pixels=pixels[i], label=i // count,
-                           id=f"c{i // count:02d}/s{i % count:03d}") for i in range(len(pixels))]
-    return Dataset(images=images, class_count=spec.class_count, _array_cache=pixels)
+    return Dataset(pixels=pixels, labels=np.repeat(np.arange(spec.class_count), count),
+                   ids=[f"c{i // count:02d}/s{i % count:03d}" for i in range(len(pixels))],
+                   class_count=spec.class_count)
 
 
 # ------------------------------------------------------------- splitting
@@ -205,55 +220,38 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 def split(dataset: Dataset, val_fraction: float, seed) -> tuple[Dataset, Dataset]:
     """Stratified train/val split, deterministic per seed, disjoint ids.
 
-    Each split owns its pixels: its ``image_array`` is a copy of its rows of
-    ``dataset``'s array, and each of its images' ``pixels`` is a view of that
-    copy, so a split keeps no reference to ``dataset``'s array.
+    Each part keeps ``dataset``'s row order and is a ``Dataset.take``, so it
+    owns a copy of its pixels and keeps no reference to ``dataset``'s.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must lie strictly between 0 and 1")
     rng = as_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, im in enumerate(dataset.images):
-        by_class.setdefault(im.label, []).append(i)
-
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    for label in sorted(by_class):
-        members = by_class[label]
+    val = np.zeros(len(dataset), dtype=bool)
+    for label in np.unique(dataset.labels):
+        members = np.flatnonzero(dataset.labels == label)
         if len(members) < 2:
             raise ValueError(f"class {label} has {len(members)} samples; "
                              "need at least 2 to split")
         n_val = int(round(val_fraction * len(members)))
         n_val = min(n_val, len(members) - 2)  # keep >= 2 train samples per class
         order = rng.permutation(len(members))
-        val_idx += [members[j] for j in order[:n_val]]
-        train_idx += [members[j] for j in order[n_val:]]
-
-    def part(indices, tag):
-        indices = sorted(indices)
-        pixels = dataset.image_array()[np.array(indices, dtype=np.intp)]
-        return Dataset(images=[replace(dataset.images[i], pixels=pixels[k])
-                               for k, i in enumerate(indices)],
-                       class_count=dataset.class_count, split_tag=tag, _array_cache=pixels)
-
-    return part(train_idx, "train"), part(val_idx, "val")
+        val[members[order[:n_val]]] = True
+    return dataset.take(np.flatnonzero(~val)), dataset.take(np.flatnonzero(val))
 
 
 def batches(dataset: Dataset, batch_size: int, rng):
-    """Yield (images, labels, ids) batches for one seeded-permutation epoch.
+    """Yield (images, labels, rows) batches for one seeded-permutation epoch.
 
-    The final short batch is kept. Passing the same Generator across epochs
-    advances its state, so a multi-epoch run is reproducible from one seed.
+    ``rows`` is the batch's slice of the permutation: the dataset rows of its
+    (N, H, W) ``images`` and (N,) ``labels``. The final short batch is kept.
+    Passing the same Generator across epochs advances its state, so a
+    multi-epoch run is reproducible from one seed.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if len(dataset) == 0:
         raise StateError("cannot iterate batches over an empty dataset")
-    rng = as_rng(rng)
-    order = rng.permutation(len(dataset))
-    images = dataset.image_array()
-    labels = dataset.label_array()
-    ids = dataset.ids()
+    order = as_rng(rng).permutation(len(dataset))
     for start in range(0, len(order), batch_size):
-        chunk = order[start:start + batch_size]
-        yield images[chunk], labels[chunk], [ids[i] for i in chunk]
+        rows = order[start:start + batch_size]
+        yield dataset.pixels[rows], dataset.labels[rows], rows

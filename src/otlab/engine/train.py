@@ -40,12 +40,12 @@ def train_classifier(model: Model, dataset: Dataset, schedule: Schedule, rng,
     rows: list[tuple[int, float, float]] = []
     step = 0
     while step < schedule.steps:
-        for images, labels, _ids in batches(dataset, schedule.batch_size, rng):
+        for images, labels, _rows in batches(dataset, schedule.batch_size, rng):
             if step >= schedule.steps:
                 break
             if augment is not None:
                 images = augment(images, rng)
-            run = trace(model, images[..., np.newaxis])
+            run = trace(model, images)
             loss_node, probs = ops.softmax_cross_entropy(run.logits, labels)
             loss = float(loss_node.value)
             if not np.isfinite(loss):
@@ -60,6 +60,5 @@ def train_classifier(model: Model, dataset: Dataset, schedule: Schedule, rng,
 
 def train_accuracy(model: Model, dataset: Dataset) -> float:
     """Fraction of dataset images the model classifies correctly."""
-    labels = dataset.label_array()
-    pred = np.argmax(forward(model, dataset.image_array()[:, :, :, np.newaxis]), axis=1)
-    return int((pred == labels).sum()) / max(len(labels), 1)
+    pred = np.argmax(forward(model, dataset.pixels), axis=1)
+    return int((pred == dataset.labels).sum()) / max(len(dataset), 1)

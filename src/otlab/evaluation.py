@@ -58,7 +58,7 @@ def score_pairs(model: Model, pairs: list[tuple[LabeledImage, LabeledImage, bool
             if id(im) not in slot:
                 slot[id(im)] = len(distinct)
                 distinct.append(im)
-    vectors = embed(model, distinct)
+    vectors = embed(model, np.array([im.pixels for im in distinct]), [im.id for im in distinct])
     scores = np.array([vectors[slot[id(a)]] @ vectors[slot[id(b)]] for a, b, _ in pairs],
                       dtype=np.float64)
     return scores, np.array([m for _, _, m in pairs], dtype=bool)
@@ -167,8 +167,7 @@ def make_verification_pairs(dataset: Dataset, n_match: int, n_nonmatch: int,
                             rng) -> list[tuple[str, str, bool]]:
     """Sample balanced id pairs from a dataset, deterministic per seed."""
     rng = as_rng(rng)
-    labels = dataset.label_array()
-    ids = dataset.ids()
+    labels, ids = dataset.labels, dataset.ids
     by_class = {c: np.nonzero(labels == c)[0] for c in range(dataset.class_count)}
     rich = [c for c, members in by_class.items() if len(members) >= 2]
     classes = [c for c, members in by_class.items() if len(members) >= 1]
@@ -222,14 +221,17 @@ def load_pairs_csv(path) -> list[tuple[str, str, bool]]:
 
 def resolve_pairs(pairs: list[tuple[str, str, bool]], dataset: Dataset
                   ) -> list[tuple[LabeledImage, LabeledImage, bool]]:
-    index = dataset.by_id()
-    resolved = []
-    for lineno, (id_a, id_b, is_match) in enumerate(pairs, start=1):
-        for pid in (id_a, id_b):
-            if pid not in index:
-                raise FormatError(f"pair {lineno}: unknown image id {pid!r}")
-        resolved.append((index[id_a], index[id_b], is_match))
-    return resolved
+    """The pairs with ids replaced by ``dataset``'s images, one ``LabeledImage``
+    per distinct id, so ``score_pairs`` embeds each image once."""
+    rows = {pid: row for row, pid in enumerate(dataset.ids)}
+    images: dict[str, LabeledImage] = {}
+    for lineno, pair in enumerate(pairs, start=1):
+        for pid in pair[:2]:
+            if pid not in images:
+                if pid not in rows:
+                    raise FormatError(f"pair {lineno}: unknown image id {pid!r}")
+                images[pid] = dataset.image(rows[pid])
+    return [(images[id_a], images[id_b], is_match) for id_a, id_b, is_match in pairs]
 
 
 # --------------------------------------------------------------- reports

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, LabeledImage
+from .data import Dataset
 from .engine import autodiff
 from .engine.autodiff import Node, gradients
 from .engine.model import Model, forward_features, trace
@@ -110,24 +110,24 @@ class TripletBatch:
 
 # ------------------------------------------------------------ embeddings
 
-def _feature_norms(feats: np.ndarray, items, where: str = "") -> np.ndarray:
-    """Row norms of ``feats``; ``ProtocolError`` names the ids of ``items`` whose
+def _feature_norms(feats: np.ndarray, ids, where: str = "") -> np.ndarray:
+    """Row norms of ``feats``; ``ProtocolError`` names the ``ids`` of the rows whose
     bottleneck vector is all zero (a dead network), which no norm can scale."""
     norms = np.sqrt((feats * feats).sum(axis=1))
     if np.any(norms == 0.0):
-        bad = [items[i].id for i in np.nonzero(norms == 0.0)[0]]
+        bad = [ids[i] for i in np.nonzero(norms == 0.0)[0]]
         raise ProtocolError(f"zero bottleneck feature vector for image(s) {bad}; "
                             f"cannot normalize{where}")
     return norms
 
 
-def embed(model: Model, images) -> np.ndarray:
-    """(N, D) unit-norm bottleneck embeddings of a Dataset or list of images, in order."""
-    items: list[LabeledImage] = list(images.images) if isinstance(images, Dataset) else list(images)
-    if not items:
+def embed(model: Model, pixels: np.ndarray, ids) -> np.ndarray:
+    """(N, D) unit-norm bottleneck embeddings of (N, H, W) ``pixels``, in order;
+    ``ids`` name the images in errors."""
+    if len(pixels) == 0:
         return np.empty((0, model.bottleneck_dim()))
-    feats = forward_features(model, np.stack([im.pixels for im in items])[:, :, :, np.newaxis])
-    return feats / _feature_norms(feats, items)[:, None]
+    feats = forward_features(model, pixels)
+    return feats / _feature_norms(feats, ids)[:, None]
 
 
 # ------------------------------------------------------------ loss graphs
@@ -221,13 +221,12 @@ def pool_classes(labels: np.ndarray, class_count: int) -> list[int]:
 def _sample_pool(dataset: Dataset, schedule: FinetuneSchedule, rng) -> np.ndarray:
     """Indices of a candidate pool: up to pool_classes classes (each with at
     least two samples) and up to pool_per_class images per class."""
-    labels = dataset.label_array()
-    eligible = pool_classes(labels, dataset.class_count)
+    eligible = pool_classes(dataset.labels, dataset.class_count)
     chosen = rng.choice(eligible, size=min(schedule.pool_classes, len(eligible)),
                         replace=False)
     picks = []
     for c in chosen:
-        members = np.nonzero(labels == c)[0]
+        members = np.nonzero(dataset.labels == c)[0]
         take = min(schedule.pool_per_class, len(members))
         picks.append(rng.choice(members, size=take, replace=False))
     return np.concatenate(picks)
@@ -250,13 +249,11 @@ def finetune(model: Model, dataset: Dataset, config: LossConfig,
 
     for step in range(1, schedule.steps + 1):
         pool_idx = _sample_pool(dataset, schedule, rng)
-        images = dataset.image_array()[pool_idx][:, :, :, np.newaxis]
-        labels = dataset.label_array()[pool_idx]
-
-        run = trace(model, images, through="features")
-        _feature_norms(run.features.value, [dataset.images[i] for i in pool_idx],
+        run = trace(model, dataset.pixels[pool_idx], through="features")
+        _feature_norms(run.features.value, [dataset.ids[i] for i in pool_idx],
                        f" at fine-tune step {step}")
-        batch = mine(autodiff.sq_distances(l2_normalize(run.features)), labels, config, rng)
+        batch = mine(autodiff.sq_distances(l2_normalize(run.features)),
+                     dataset.labels[pool_idx], config, rng)
 
         row = {"step": step, "loss": nan, "mu_ap": nan, "mu_an": nan,
                "var_ap": nan, "var_an": nan, "decidability": nan,

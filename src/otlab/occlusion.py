@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
 from .atomic import atomic_write
-from .data import LabeledImage
+from .data import Dataset
 from .engine.model import (INFERENCE_ROWS, SPATIAL_ROWS, Conv, Model, Relu, apply_layer, forward,
                            spatial_depth, walk_blocks)
 from .errors import FormatError, ProtocolError
@@ -366,13 +366,13 @@ def _scan_grid(model: Model, pixels: np.ndarray, label: int, patch: np.ndarray,
     return blocks[:h, :w]
 
 
-def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: OccluderSpec,
+def dataset_occlusion_map(model: Model, dataset: Dataset, spec: OccluderSpec,
                           rng, *, stride: int = 1, limit: int | None = None,
                           workers: int = 1) -> tuple[OcclusionMap, dict]:
-    """Mean of the binary maps of the correctly classified ``images``.
+    """Mean of the binary maps of the correctly classified images of ``dataset``.
 
     Misclassified images are skipped (and counted); at most ``limit``
-    correctly classified images are used, in input order. One patch is
+    correctly classified images are used, in row order. One patch is
     drawn per used image, in order, and reused at every location, so a map
     reflects position sensitivity, not per-position noise draws. Patches
     are drawn before any scan, so results do not depend on ``workers``; the
@@ -383,15 +383,14 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     at_least(1, workers=workers, stride=stride)
     if limit is not None:
         at_least(1, limit=limit)
-    if not images:
+    if not len(dataset):
         raise ProtocolError("no images supplied for the occlusion map")
     rng = as_rng(rng)
-    stack = np.stack([im.pixels for im in images])[:, :, :, np.newaxis]
-    predictions = np.argmax(forward(model, stack), axis=1)
+    predictions = np.argmax(forward(model, dataset.pixels), axis=1)
 
-    selected = [im for im, p in zip(images, predictions) if p == im.label]
-    excluded = len(images) - len(selected)
-    if not selected:
+    selected = np.flatnonzero(predictions == dataset.labels)
+    excluded = len(dataset) - len(selected)
+    if not len(selected):
         raise ProtocolError("no image is classified correctly; cannot build an occlusion map")
     if limit is not None:
         selected = selected[:limit]
@@ -399,8 +398,8 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     patches = [make_occluder(spec, rng) for _ in selected]
 
     def one(args):
-        im, patch = args
-        return _scan_grid(model, im.pixels, im.label, patch, stride)
+        row, patch = args
+        return _scan_grid(model, dataset.pixels[row], dataset.labels[row], patch, stride)
 
     if workers > 1:
         # one BLAS thread per worker: more oversubscribe the cores
@@ -413,7 +412,7 @@ def dataset_occlusion_map(model: Model, images: list[LabeledImage], spec: Occlud
     occ_map = OcclusionMap(grid=sum(grids) / len(grids), sample_count=len(grids),
                            occluder_shape=(spec.height, spec.width))
     info = {"used": len(selected), "excluded": excluded,
-            "image_ids": [im.id for im in selected]}
+            "image_ids": [dataset.ids[row] for row in selected]}
     return occ_map, info
 
 

@@ -299,19 +299,20 @@ def test_criterion_3_oracle_equivalence():
                      np.random.default_rng(0))
     maps_ok = True
     checked = 0
-    for image in ds8.images:
+    for row in range(len(ds8)):
         if checked == 4:
             break
-        if predict(model8, image.pixels[None, :, :, None])[0] != image.label:
+        pixels, label = ds8.pixels[row], ds8.labels[row]
+        if predict(model8, pixels[None, :, :, None])[0] != label:
             continue
         checked += 1
         occ = OccluderSpec(3, 2)
         patch = make_occluder(occ, np.random.default_rng(checked))
         # the one-image map draws that same patch first
-        result, _ = dataset_occlusion_map(model8, [image], occ, np.random.default_rng(checked))
+        result, _ = dataset_occlusion_map(model8, ds8.take([row]), occ,
+                                          np.random.default_rng(checked))
         expected = binary_map_loops(
-            lambda img: predict(model8, img[None, :, :, None])[0],
-            image.pixels, image.label, patch)
+            lambda img: predict(model8, img[None, :, :, None])[0], pixels, label, patch)
         maps_ok &= np.array_equal(result.grid, expected)
 
     elapsed = time.time() - start
@@ -361,7 +362,7 @@ def test_criterion_5_ground_truth_recovery():
     train_time = time.time() - start
 
     occ = default_occluders(32)["small"]
-    occ_map, info = dataset_occlusion_map(model, val.images, occ,
+    occ_map, info = dataset_occlusion_map(model, val, occ,
                                           np.random.default_rng(11), limit=40)
     centroid = top_decile_centroid(occ_map)
     inside = point_in_rect(centroid, spec.resolved_cue_region())
@@ -394,8 +395,8 @@ def test_criterion_6_augmentation_trend():
         base = init_model(default_architecture(32, 10), rng)
         train_classifier(base, train, Schedule(steps=300), rng)
 
-        half = len(val.images) // 2
-        guide_map, _ = dataset_occlusion_map(base, val.images[:half], occ_large,
+        half = len(val) // 2
+        guide_map, _ = dataset_occlusion_map(base, val.take(range(half)), occ_large,
                                              np.random.default_rng(seed + 100), limit=50)
         placement = placement_distribution(guide_map, temperature)
 
@@ -409,7 +410,7 @@ def test_criterion_6_augmentation_trend():
             models[tag] = tuned
 
         for tag, model in models.items():
-            test_map, _ = dataset_occlusion_map(model, val.images[half:], occ_large,
+            test_map, _ = dataset_occlusion_map(model, val.take(range(half, len(val))), occ_large,
                                                 np.random.default_rng(seed + 200),
                                                 limit=50)
             results[tag].append(map_accuracy_stats(test_map))

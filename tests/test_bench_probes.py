@@ -1,7 +1,9 @@
-"""The benchmark's probes (``perfbench/probes.py``) against the package.
+"""The benchmark's probes (``perfbench/probes.py``) and workload set-up
+(``perfbench/workloads.py``) against the package.
 
-The probes patch module attributes of the package by name, so a rename
-there breaks the traced benchmark; these tests catch that in this suite.
+The probes patch module attributes of the package by name, and the set-up
+reads its data and config API, so a rename there breaks the benchmark;
+these tests catch that in this suite.
 """
 
 import sys
@@ -14,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import probes  # noqa: E402
+import workloads  # noqa: E402
 from tracing import Patcher, Tracer  # noqa: E402
 
 import otlab.cli  # noqa: E402
@@ -27,11 +30,11 @@ import otlab.evaluation  # noqa: E402
 import otlab.metric  # noqa: E402
 import otlab.occlusion  # noqa: E402
 from otlab.config import ExperimentConfig  # noqa: E402
-from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic  # noqa: E402
+from otlab.data import Dataset, SyntheticSpec, generate_synthetic  # noqa: E402
 from otlab.engine.model import default_architecture, forward, init_model, trace  # noqa: E402
 from otlab.engine.train import Schedule  # noqa: E402
 from otlab.metric import FinetuneSchedule, LossConfig  # noqa: E402
-from otlab.occlusion import OccluderSpec  # noqa: E402
+from otlab.occlusion import OccluderSpec, load_map_csv  # noqa: E402
 
 
 def _namespaces():
@@ -117,8 +120,7 @@ def test_probes_count_one_map_span_and_one_scan_per_image(rng):
     model = init_model(default_architecture(8, 3), rng)
     pixels = rng.random((4, 8, 8))
     labels = np.argmax(forward(model, pixels[..., np.newaxis]), axis=1)
-    images = [LabeledImage(pixels=p, label=int(lab), id=str(k))
-              for k, (p, lab) in enumerate(zip(pixels, labels))]
+    images = Dataset(pixels=pixels, labels=labels, ids=["a", "b", "c", "d"], class_count=3)
     tracer, patcher = Tracer(), Patcher()
     try:
         probes.install(tracer, patcher)
@@ -134,7 +136,7 @@ def test_probes_time_the_evaluate_path_once_each(rng):
     # which is what the embed span embeds
     dataset = generate_synthetic(SyntheticSpec(class_count=2, samples_per_class=2,
                                                image_size=8, seed=0))
-    a, b, c, d = dataset.images
+    a, b, c, d = (dataset.image(i) for i in range(4))
     pairs = [(a, b, True), (c, d, True), (a, c, False), (b, d, False), (a, b, True),
              (d, a, False)]
     model = init_model(default_architecture(8, 2), rng)
@@ -152,3 +154,15 @@ def test_probes_time_the_evaluate_path_once_each(rng):
                    if span.name.startswith("evaluation.")) == dict.fromkeys(names, 1)
     assert spans["evaluation.score"].attrs["distinct"] == 4
     assert spans["evaluation.embed"].attrs["images"] == 4
+
+
+def test_classify_workload_setup_writes_the_planted_cue_map(tmp_path):
+    # the set-up reads the config's splits, the image shape and the synthetic
+    # spec, and writes a map CSV, all without training
+    ctx = workloads.Classify().setup(tmp_path, 3, None)
+    spec = SyntheticSpec(seed=3)
+    top, left, h, w = spec.resolved_cue_region()
+    expected = np.zeros((spec.image_size, spec.image_size))
+    expected[top:top + h, left:left + w] = 1.0
+    occ_map = load_map_csv(ctx["map"])
+    np.testing.assert_array_equal(occ_map.grid, expected)

@@ -623,6 +623,20 @@ def test_bad_image_in_a_dataset_directory_exits_2(tmp_path, runner, bad_name, ba
     assert not out.exists()
 
 
+def test_dataset_directory_without_images_exits_2(tmp_path, runner):
+    data_root = tmp_path / "data"
+    for cls in ("a", "b"):
+        (data_root / cls).mkdir(parents=True)
+    (data_root / "a" / "notes.txt").write_text("no images here\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"seed": 1, "dataset": {"path": str(data_root)}}))
+    out = tmp_path / "s1"
+    result = runner.invoke(main, ["train-classifier", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"{data_root}: no .pgm images in its class directories" in result.output
+    assert not out.exists()
+
+
 def test_evaluate_with_one_matching_pair_exits_4(tmp_path, runner):
     # ROC and k-fold accept a single match; decidability needs two of each kind
     cfg = write_config(tmp_path, schedule={"steps": 0})

@@ -7,7 +7,6 @@ import pytest
 
 from otlab.data import (
     Dataset,
-    LabeledImage,
     SyntheticSpec,
     batches,
     generate_synthetic,
@@ -85,8 +84,8 @@ def test_load_directory_sorts_class_names(tmp_path):
         save_pgm(np.full((2, 2), value / 255.0), d / "img0.pgm")
     ds = load_directory(tmp_path)
     assert ds.class_count == 3
-    by_label = {im.label: im.id for im in ds.images}
-    assert by_label == {0: "ant/img0", 1: "mole/img0", 2: "zebra/img0"}
+    assert dict(zip(ds.labels.tolist(), ds.ids)) == {0: "ant/img0", 1: "mole/img0",
+                                                     2: "zebra/img0"}
 
 
 # -------------------------------------------------------------- synthetic
@@ -95,9 +94,8 @@ def test_synthetic_same_seed_bit_identical():
     spec = SyntheticSpec(class_count=3, samples_per_class=4, image_size=8, seed=11)
     a = generate_synthetic(spec)
     b = generate_synthetic(spec)
-    assert [im.id for im in a.images] == [im.id for im in b.images]
-    for x, y in zip(a.images, b.images):
-        assert np.array_equal(x.pixels, y.pixels)
+    assert a.ids == b.ids
+    assert np.array_equal(a.labels, b.labels) and np.array_equal(a.pixels, b.pixels)
 
 
 # sha256 over every image's id, label and pixels, then each split's ids, image
@@ -117,13 +115,13 @@ def test_synthetic_render_is_pinned(case, spec):
     full = generate_synthetic(spec)
     train, val = split(full, 0.1, spec.seed)
     digest = hashlib.sha256()
-    for im in full.images:
-        digest.update(f"{im.id},{im.label}".encode())
-        digest.update(im.pixels.tobytes())
+    for image_id, label, pixels in zip(full.ids, full.labels, full.pixels):
+        digest.update(f"{image_id},{label}".encode())
+        digest.update(pixels.tobytes())
     for part in (full, train, val):
-        digest.update(",".join(part.ids()).encode())
-        digest.update(part.image_array().tobytes())
-        digest.update(part.label_array().tobytes())
+        digest.update(",".join(part.ids).encode())
+        digest.update(part.pixels.tobytes())
+        digest.update(part.labels.tobytes())
     assert digest.hexdigest() == SYNTHETIC_RENDER_SHA256[case]
 
 
@@ -131,9 +129,7 @@ def test_synthetic_zero_cue_strength_class_free():
     spec = SyntheticSpec(class_count=3, samples_per_class=3, image_size=8,
                          cue_strength=0.0, background_noise_sigma=0.0, seed=1)
     ds = generate_synthetic(spec)
-    base = ds.images[0].pixels
-    for im in ds.images:
-        assert np.array_equal(im.pixels, base)
+    assert np.array_equal(ds.pixels, np.broadcast_to(ds.pixels[0], ds.pixels.shape))
 
 
 def test_synthetic_cue_region_out_of_bounds_rejected():
@@ -158,8 +154,7 @@ def test_synthetic_pixels_stay_in_unit_interval():
     spec = SyntheticSpec(class_count=2, samples_per_class=5, image_size=8,
                          background_noise_sigma=0.5, seed=3)
     ds = generate_synthetic(spec)
-    arr = ds.image_array()
-    assert arr.min() >= 0.0 and arr.max() <= 1.0
+    assert ds.pixels.min() >= 0.0 and ds.pixels.max() <= 1.0
 
 
 def test_synthetic_classes_differ_inside_cue_only():
@@ -167,8 +162,8 @@ def test_synthetic_classes_differ_inside_cue_only():
                          cue_region=(2, 3, 4, 4), cue_strength=1.0,
                          background_noise_sigma=0.0, seed=5)
     ds = generate_synthetic(spec)
-    a = ds.images[0].pixels
-    b = ds.images[2].pixels   # other class
+    a = ds.pixels[0]
+    b = ds.pixels[2]   # other class
     diff = a != b
     assert diff[2:6, 3:7].any()
     outside = diff.copy()
@@ -200,14 +195,13 @@ def test_masking_cue_flips_predictions_more_than_elsewhere():
 
     patch = np.full((4, 4), 0.5)
     cue_flips = far_flips = 0
-    for im in val.images:
-        x = im.pixels[None, :, :, None]
-        if predict(model, x)[0] != im.label:
+    for pixels, label in zip(val.pixels, val.labels):
+        if predict(model, pixels[None, :, :, None])[0] != label:
             continue
-        on_cue = apply_occluder(im.pixels, patch, (2, 2))      # covers rows/cols 1..4
-        far = apply_occluder(im.pixels, patch, (7, 7))         # covers rows/cols 5..8
-        cue_flips += predict(model, on_cue[None, :, :, None])[0] != im.label
-        far_flips += predict(model, far[None, :, :, None])[0] != im.label
+        on_cue = apply_occluder(pixels, patch, (2, 2))      # covers rows/cols 1..4
+        far = apply_occluder(pixels, patch, (7, 7))         # covers rows/cols 5..8
+        cue_flips += predict(model, on_cue[None, :, :, None])[0] != label
+        far_flips += predict(model, far[None, :, :, None])[0] != label
     assert cue_flips > far_flips
 
 
@@ -221,101 +215,117 @@ def _dataset(per_class=10, classes=3, size=4, seed=0):
 
 def test_split_fraction_per_class():
     train, val = split(_dataset(per_class=100), 0.1, seed=0)
-    train_labels = train.label_array()
-    val_labels = val.label_array()
     for c in range(3):
-        assert (val_labels == c).sum() == 10
-        assert (train_labels == c).sum() == 90
-    assert train.split_tag == "train" and val.split_tag == "val"
+        assert (val.labels == c).sum() == 10
+        assert (train.labels == c).sum() == 90
 
 
 def test_split_is_a_partition():
     ds = _dataset()
     train, val = split(ds, 0.2, seed=4)
-    train_ids = set(train.ids())
-    val_ids = set(val.ids())
+    train_ids = set(train.ids)
+    val_ids = set(val.ids)
     assert train_ids & val_ids == set()
-    assert train_ids | val_ids == set(ds.ids())
+    assert train_ids | val_ids == set(ds.ids)
 
 
 def test_split_seeds_change_partition_not_counts():
     ds = _dataset(per_class=20)
     t1, v1 = split(ds, 0.25, seed=1)
     t2, v2 = split(ds, 0.25, seed=2)
-    assert set(v1.ids()) != set(v2.ids())
+    assert set(v1.ids) != set(v2.ids)
     for c in range(3):
-        assert (v1.label_array() == c).sum() == (v2.label_array() == c).sum() == 5
+        assert (v1.labels == c).sum() == (v2.labels == c).sum() == 5
 
 
 def test_split_rejects_tiny_classes():
-    ds = Dataset(images=[LabeledImage(np.zeros((2, 2)), 0, "only")], class_count=1)
+    ds = Dataset(pixels=np.zeros((1, 2, 2)), labels=[0], ids=["only"], class_count=1)
     with pytest.raises(ValueError, match="at least 2"):
         split(ds, 0.5, seed=0)
 
 
-def test_split_gives_an_empty_part_an_empty_image_array():
+def test_split_gives_an_empty_part_an_empty_pixel_array():
     # round(0.1 * 5) == 0, so no class gives the validation part an image
     full = generate_synthetic(SyntheticSpec(samples_per_class=5))
     train, val = split(full, 0.1, seed=0)
     assert (len(train), len(val)) == (50, 0)
-    assert val.image_array().shape == (0, 32, 32)
-    np.testing.assert_array_equal(train.image_array(),
-                                  np.stack([im.pixels for im in train.images]))
+    assert val.pixels.shape == (0, 32, 32) and val.image_shape() == (32, 32)
+    np.testing.assert_array_equal(train.pixels, full.pixels)
 
 
 def test_splits_own_their_pixels():
     full = _dataset(per_class=10)
-    by_id = {im.id: im for im in full.images}
+    row_of = {image_id: row for row, image_id in enumerate(full.ids)}
     train, val = split(full, 0.3, seed=0)
     for part in (train, val):
-        array = part.image_array()
-        assert not np.shares_memory(array, full.image_array())
-        for k, im in enumerate(part.images):
-            assert im.pixels.base is array and np.shares_memory(im.pixels, array[k])
-            assert im.pixels.tobytes() == by_id[im.id].pixels.tobytes()
-            assert (im.label, im.id) == (by_id[im.id].label, by_id[im.id].id)
-    full_array = weakref.ref(full.image_array())
-    del full, by_id
+        assert not np.shares_memory(part.pixels, full.pixels)
+        for k, image_id in enumerate(part.ids):
+            image = part.image(k)
+            assert image.pixels.base is part.pixels and image.id == image_id
+            assert image.pixels.tobytes() == full.pixels[row_of[image_id]].tobytes()
+            assert image.label == full.labels[row_of[image_id]]
+    full_array = weakref.ref(full.pixels)
+    del full
     assert full_array() is None         # the splits pin none of the full render
-    assert train.image_array().shape == (21, 4, 4)
+    assert train.pixels.shape == (21, 4, 4)
 
 
-def test_image_array_of_an_empty_uncached_dataset_is_a_state_error():
-    with pytest.raises(StateError, match="no images"):
-        Dataset(images=[], class_count=0).image_array()
+@pytest.mark.parametrize("fields, message", [
+    ({"labels": [0, 1]}, "3 images need 3 labels and 3 ids"),
+    ({"ids": ["a", "b"]}, "3 images need 3 labels and 3 ids"),
+    ({"labels": [[0], [1], [1]]}, r"labels of shape \(3, 1\)"),
+    ({"pixels": np.zeros((3, 4))}, r"pixels must have shape \(N, H, W\), got \(3, 4\)"),
+], ids=["short-labels", "short-ids", "2d-labels", "2d-pixels"])
+def test_dataset_refuses_disagreeing_lengths_and_non_3d_pixels(fields, message):
+    record = dict(pixels=np.zeros((3, 4, 4)), labels=[0, 1, 1], ids=["a", "b", "c"],
+                  class_count=2)
+    with pytest.raises(ValueError, match=message):
+        Dataset(**{**record, **fields})
+
+
+def test_take_copies_rows_in_order():
+    full = _dataset(per_class=4)
+    part = full.take([5, 0, 5])
+    assert part.ids == (full.ids[5], full.ids[0], full.ids[5])
+    np.testing.assert_array_equal(part.labels, full.labels[[5, 0, 5]])
+    np.testing.assert_array_equal(part.pixels, full.pixels[[5, 0, 5]])
+    assert not np.shares_memory(part.pixels, full.pixels)
+    assert part.class_count == full.class_count
 
 
 # ---------------------------------------------------------------- batches
 
 def test_single_batch_is_permutation():
     ds = _dataset(per_class=5)
-    (images, labels, ids), = list(batches(ds, batch_size=len(ds), rng=0))
-    assert sorted(ids) == sorted(ds.ids())
-    assert len(labels) == len(ds)
+    (images, labels, rows), = list(batches(ds, batch_size=len(ds), rng=0))
+    assert sorted(rows) == list(range(len(ds)))
+    np.testing.assert_array_equal(images, ds.pixels[rows])
+    np.testing.assert_array_equal(labels, ds.labels[rows])
 
 
 def test_epoch_concatenation_is_bijection():
     ds = _dataset(per_class=7)
     seen = []
-    for _, _, ids in batches(ds, batch_size=4, rng=9):
-        seen += ids
-    assert sorted(seen) == sorted(ds.ids())
-    assert seen != ds.ids()          # actually shuffled for this seed
+    for _, _, rows in batches(ds, batch_size=4, rng=9):
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(len(ds)))
+    assert seen != sorted(seen)          # actually shuffled for this seed
 
 
 def test_batches_replay_identically():
     ds = _dataset()
-    run1 = [ids for _, _, ids in batches(ds, 8, np.random.default_rng(5))]
-    run2 = [ids for _, _, ids in batches(ds, 8, np.random.default_rng(5))]
+    run1 = [rows.tolist() for _, _, rows in batches(ds, 8, np.random.default_rng(5))]
+    run2 = [rows.tolist() for _, _, rows in batches(ds, 8, np.random.default_rng(5))]
     assert run1 == run2
 
 
 def test_batches_keep_short_tail():
     ds = _dataset(per_class=5)   # 15 images
-    sizes = [len(ids) for _, _, ids in batches(ds, 4, rng=0)]
+    sizes = [len(rows) for _, _, rows in batches(ds, 4, rng=0)]
     assert sizes == [4, 4, 4, 3]
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(StateError):
-        next(batches(Dataset(images=[], class_count=0), 4, rng=0))
+        next(batches(Dataset(pixels=np.zeros((0, 4, 4)), labels=[], ids=[], class_count=0),
+                     4, rng=0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
+from otlab.data import Dataset, SyntheticSpec, generate_synthetic
 from otlab.engine import (
     Schedule,
     backward,
@@ -738,12 +738,10 @@ def test_missing_gradient_key_raises():
 
 def _toy_separable():
     rng = np.random.default_rng(3)
-    images = []
-    for i in range(20):
-        for label, center in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
-            pix = np.array([center]) + rng.normal(scale=0.05, size=(1, 2))
-            images.append(LabeledImage(pixels=pix, label=label, id=f"{label}-{i}"))
-    return Dataset(images=images, class_count=2)
+    labels = np.tile([0, 1], 20)
+    centers = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])[labels]
+    return Dataset(pixels=centers + rng.normal(scale=0.05, size=(40, 1, 2)), labels=labels,
+                   ids=[f"{label}-{k // 2}" for k, label in enumerate(labels)], class_count=2)
 
 
 def test_linearly_separable_set_trains_below_threshold():

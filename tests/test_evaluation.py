@@ -78,18 +78,20 @@ def test_scores_equal_per_pair_embedding_path(monkeypatch):
     model = init_model(default_architecture(8, 3), np.random.default_rng(1))
     ids = make_verification_pairs(ds, 600, 600, np.random.default_rng(2))
     pairs = resolve_pairs(ids, ds)
-    lefts = embed(model, [a for a, _, _ in pairs])
-    rights = embed(model, [b for _, b, _ in pairs])
+    lefts, rights = (embed(model, np.array([pair[side].pixels for pair in pairs]),
+                           [pair[side].id for pair in pairs]) for side in (0, 1))
     expected = [float(ea @ eb) for ea, eb in zip(lefts, rights)]
 
     embedded = []
-    monkeypatch.setattr(evaluation, "embed",
-                        lambda m, images: embedded.append(len(images)) or embed(m, images))
+    monkeypatch.setattr(evaluation, "embed", lambda m, pixels, names:
+                        embedded.append(len(pixels)) or embed(m, pixels, names))
     scores, matches = score_pairs(model, pairs)
     assert scores.dtype == np.float64 and matches.dtype == bool
     assert scores.tolist() == expected
     assert matches.tolist() == [m for _, _, m in ids]
-    assert embedded == [len({id(im) for pair in pairs for im in pair[:2]})]
+    # one record per distinct id, so each image is embedded once
+    distinct = {id(im): im.id for pair in pairs for im in pair[:2]}
+    assert embedded == [len(distinct)] == [len(set(distinct.values()))]
 
 
 def test_scores_equal_independent_dot_products(rng):
@@ -331,8 +333,9 @@ def test_identical_vs_disjoint_pairs_reach_full_accuracy():
                        np.random.default_rng(0))
     train_classifier(model, ds, Schedule(steps=80, lr=0.05, batch_size=12),
                      np.random.default_rng(0))
-    pairs = [(im, im, True) for im in ds.images[:8]]
-    pairs += [(a, b, False) for a, b in zip(ds.images[:8], ds.images[8:16])]
+    images = [ds.image(i) for i in range(16)]
+    pairs = [(im, im, True) for im in images[:8]]
+    pairs += [(a, b, False) for a, b in zip(images[:8], images[8:])]
     report = kfold_accuracy(*score_pairs(model, pairs), k=4)
     assert report["mean_accuracy"] == 1.0 and report["std"] == 0.0
 

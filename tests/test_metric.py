@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from otlab import metric
-from otlab.data import Dataset, LabeledImage, SyntheticSpec, generate_synthetic
+from otlab.data import Dataset, SyntheticSpec, generate_synthetic
 from otlab.engine import (
     Schedule,
     autodiff,
@@ -69,26 +69,22 @@ def loss_of(batch, **config):
 
 def test_embeddings_are_unit_norm(rng):
     model = small_model(rng)
-    images = [LabeledImage(pixels=rng.random((6, 6)), label=0, id=f"i{k}")
-              for k in range(7)]
-    for vector in embed(model, images):
+    for vector in embed(model, rng.random((7, 6, 6)), [f"i{k}" for k in range(7)]):
         assert abs(np.linalg.norm(vector) - 1.0) < 1e-10
 
 
 def test_duplicate_images_embed_identically(rng):
     model = small_model(rng)
     pixels = rng.random((6, 6))
-    images = [LabeledImage(pixels=pixels.copy(), label=0, id=f"d{k}") for k in range(2)]
-    a, b = embed(model, images)
+    a, b = embed(model, np.stack([pixels, pixels.copy()]), ["d0", "d1"])
     assert np.array_equal(a, b)
 
 
 def test_embed_matches_two_step_oracle(rng):
     model = small_model(rng, bottleneck=5)
-    images = [LabeledImage(pixels=rng.random((6, 6)), label=1, id=f"o{k}")
-              for k in range(4)]
-    feats = forward_features(model, np.stack([im.pixels for im in images])[..., None])
-    for vector, row in zip(embed(model, images), feats):
+    pixels = rng.random((4, 6, 6))
+    feats = forward_features(model, pixels[..., None])
+    for vector, row in zip(embed(model, pixels, [f"o{k}" for k in range(4)]), feats):
         np.testing.assert_allclose(vector, row / np.linalg.norm(row), atol=1e-14)
 
 
@@ -96,9 +92,8 @@ def test_zero_feature_vector_reported(rng):
     model = small_model(rng)
     for name in model.params:
         model.params[name][:] = 0.0
-    images = [LabeledImage(pixels=rng.random((6, 6)), label=0, id="zero-case")]
     with pytest.raises(ValueError, match="zero-case"):
-        embed(model, images)
+        embed(model, rng.random((1, 6, 6)), ["zero-case"])
 
 
 # ------------------------------------------------- pool distance matrix
@@ -284,10 +279,10 @@ def test_converged_pool_yields_empty_batch():
 # a dataset that cannot give two such classes before it traces anything
 def _pool_composition_error(labels):
     rng = np.random.default_rng(0)
-    images = [LabeledImage(pixels=rng.random((6, 6)), label=c, id=f"e{k}")
-              for k, c in enumerate(labels)]
+    dataset = Dataset(pixels=rng.random((len(labels), 6, 6)), labels=labels,
+                      ids=[f"e{k}" for k in range(len(labels))], class_count=max(labels) + 1)
     with pytest.raises(StateError, match="two classes with two samples each"):
-        finetune(small_model(rng), Dataset(images=images, class_count=max(labels) + 1),
+        finetune(small_model(rng), dataset,
                  LossConfig(), FinetuneSchedule(steps=1), rng)
 
 
@@ -459,13 +454,11 @@ def test_finetune_zero_steps_keeps_model(rng):
 def test_finetune_without_violations_never_updates():
     # two constant classes: embeddings coincide within a class, so with
     # alpha=0 no triplet violates and no gradient step happens
-    images = []
-    for label, fill in ((0, 0.1), (1, 0.9)):
-        for k in range(4):
-            pix = np.full((6, 6), fill)
-            pix[0, 0] = 1.0 - fill
-            images.append(LabeledImage(pixels=pix, label=label, id=f"{label}-{k}"))
-    ds = Dataset(images=images, class_count=2)
+    fills = np.repeat([0.1, 0.9], 4)
+    pixels = np.broadcast_to(fills[:, None, None], (8, 6, 6)).copy()
+    pixels[:, 0, 0] = 1.0 - fills
+    ds = Dataset(pixels=pixels, labels=np.repeat([0, 1], 4),
+                 ids=[f"{k // 4}-{k % 4}" for k in range(8)], class_count=2)
     model = small_model(np.random.default_rng(0), classes=2)
     before = {k: v.copy() for k, v in model.params.items()}
     model, rows = finetune(model, ds, LossConfig(mode="standard", alpha=0.0),

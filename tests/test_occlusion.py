@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from otlab import blas, occlusion
-from otlab.data import LabeledImage, SyntheticSpec, generate_synthetic
+from otlab.data import Dataset, SyntheticSpec, generate_synthetic
 from otlab.engine import Schedule, init_model, ops, predict, train_classifier
 from otlab.engine.model import (INFERENCE_ROWS, SPATIAL_ROWS, Conv, Dense, Model,
                                default_architecture, forward)
@@ -146,15 +146,21 @@ def _constant_model(pixels_shape, always=0, classes=2):
                  {"dense1.weight": weight, "dense1.bias": bias})
 
 
-def _image_map(model, image, spec, rng, stride=1):
+def _dataset(pixels, labels):
+    """A dataset of ``pixels`` (N, H, W) with ``labels``, its ids "0" to "N-1"."""
+    return Dataset(pixels=pixels, labels=labels, ids=[str(k) for k in range(len(labels))],
+                   class_count=int(np.max(labels)) + 1)
+
+
+def _image_map(model, pixels, label, spec, rng, stride=1):
     """The map of one image: its binary map."""
-    return dataset_occlusion_map(model, [image], spec, rng, stride=stride)[0]
+    return dataset_occlusion_map(model, _dataset(pixels[None], [label]), spec, rng,
+                                 stride=stride)[0]
 
 
 def test_input_blind_model_gives_zero_map(rng):
     model = _constant_model((5, 5), always=1)
-    image = LabeledImage(pixels=rng.random((5, 5)), label=1, id="x")
-    result = _image_map(model, image, OccluderSpec(2, 2), rng)
+    result = _image_map(model, rng.random((5, 5)), 1, OccluderSpec(2, 2), rng)
     np.testing.assert_array_equal(result.grid, np.zeros((5, 5)))
 
 
@@ -164,9 +170,8 @@ def test_single_pixel_model_flags_covering_positions(rng):
     weight[0, 0] = 1.0
     model = Model((4, 4, 1), [Dense(2)],
                   {"dense1.weight": weight, "dense1.bias": np.array([0.0, 0.5])})
-    image = LabeledImage(pixels=np.ones((4, 4)), label=0, id="p")
     spec = OccluderSpec(2, 2, intensity_range=(0.0, 0.0), noise_model="none")
-    result = _image_map(model, image, spec, rng)
+    result = _image_map(model, np.ones((4, 4)), 0, spec, rng)
     expected = np.zeros((4, 4))
     expected[0:2, 0:2] = 1.0     # the four centers whose footprint covers (0,0)
     np.testing.assert_array_equal(result.grid, expected)
@@ -184,17 +189,17 @@ def test_binary_map_matches_position_sweep_oracle():
                        np.random.default_rng(0))
     train_classifier(model, ds, Schedule(steps=60, lr=0.05, batch_size=10),
                      np.random.default_rng(0))
-    image = next(im for im in ds.images
-                 if predict(model, im.pixels[None, :, :, None])[0] == im.label)
+    row = next(i for i in range(len(ds)) if predict(model, ds.pixels[i:i + 1])[0] == ds.labels[i])
+    pixels, label = ds.pixels[row], ds.labels[row]
 
     occ = OccluderSpec(3, 2, noise_model="random")
     patch = make_occluder(occ, np.random.default_rng(5))
-    result = _image_map(model, image, occ, np.random.default_rng(5))    # draws that patch
+    result = _image_map(model, pixels, label, occ, np.random.default_rng(5))   # draws that patch
 
     def predict_one(img):
         return predict(model, img[None, :, :, None])[0]
 
-    expected = binary_map_loops(predict_one, image.pixels, image.label, patch)
+    expected = binary_map_loops(predict_one, pixels, label, patch)
     np.testing.assert_array_equal(result.grid, expected)
     assert set(np.unique(result.grid)) <= {0.0, 1.0}
 
@@ -204,10 +209,9 @@ def test_stride_fills_blocks_with_scanned_value(rng):
     weight[0, 0] = 1.0
     model = Model((4, 4, 1), [Dense(2)],
                   {"dense1.weight": weight, "dense1.bias": np.array([0.0, 0.5])})
-    image = LabeledImage(pixels=np.ones((4, 4)), label=0, id="s")
     spec = OccluderSpec(2, 2, intensity_range=(0.0, 0.0), noise_model="none")
-    coarse = _image_map(model, image, spec, rng, stride=2)
-    fine = _image_map(model, image, spec, rng, stride=1)
+    coarse = _image_map(model, np.ones((4, 4)), 0, spec, rng, stride=2)
+    fine = _image_map(model, np.ones((4, 4)), 0, spec, rng, stride=1)
     assert coarse.grid.shape == (4, 4)
     # scanned positions agree with the exact map; blocks repeat their value
     for i in (0, 2):
@@ -425,8 +429,9 @@ def _map_of_grids(monkeypatch, grids):
     scans = iter(np.asarray(g, dtype=np.float64) for g in grids)
     monkeypatch.setattr(occlusion, "_scan_grid", lambda *args: next(scans))
     shape = np.shape(grids[0])
-    images = [LabeledImage(pixels=np.zeros(shape), label=0, id=str(k)) for k in range(len(grids))]
-    occ_map, _ = dataset_occlusion_map(_constant_model(shape), images, OccluderSpec(2, 2), 0)
+    occ_map, _ = dataset_occlusion_map(_constant_model(shape),
+                                       _dataset(np.zeros((len(grids), *shape)), [0] * len(grids)),
+                                       OccluderSpec(2, 2), 0)
     return occ_map
 
 
@@ -448,27 +453,24 @@ def test_aggregate_matches_second_pass_mean():
     model = init_model(default_architecture(8, 3), np.random.default_rng(3))
     pixels = np.random.default_rng(4).random((5, 8, 8))
     labels = np.argmax(forward(model, pixels[..., np.newaxis]), axis=1)
-    images = [LabeledImage(pixels=p, label=int(lab), id=str(k))
-              for k, (p, lab) in enumerate(zip(pixels, labels))]
     spec = OccluderSpec(3, 3)
     for stride in (1, 2):
-        agg, info = dataset_occlusion_map(model, images, spec, np.random.default_rng(9),
-                                          stride=stride)
+        agg, info = dataset_occlusion_map(model, _dataset(pixels, labels), spec,
+                                          np.random.default_rng(9), stride=stride)
         assert info["used"] == agg.sample_count == 5
         rng = np.random.default_rng(9)
-        patches = [make_occluder(spec, rng) for _ in images]    # drawn in order
+        patches = [make_occluder(spec, rng) for _ in pixels]    # drawn in order
         expected = np.zeros((8, 8))
-        for im, patch in zip(images, patches):
-            expected += _scan_grid(model, im.pixels, im.label, patch, stride)
-        expected /= len(images)
+        for image, label, patch in zip(pixels, labels, patches):
+            expected += _scan_grid(model, image, label, patch, stride)
+        expected /= len(pixels)
         assert 0.0 < expected.mean() < 1.0
         np.testing.assert_array_equal(agg.grid, expected)
 
 
 def test_dataset_map_excludes_misclassified(rng):
     model = _constant_model((4, 4), always=1)
-    images = [LabeledImage(pixels=rng.random((4, 4)), label=lab, id=f"i{k}")
-              for k, lab in enumerate([1, 0, 1, 0, 1])]
+    images = _dataset(rng.random((5, 4, 4)), [1, 0, 1, 0, 1])
     agg, info = dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng)
     assert info["excluded"] == 2
     assert agg.sample_count == 3
@@ -477,7 +479,7 @@ def test_dataset_map_excludes_misclassified(rng):
 
 def test_dataset_map_all_misclassified_is_protocol_error(rng):
     model = _constant_model((4, 4), always=1)
-    images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id="a")]
+    images = _dataset(rng.random((1, 4, 4)), [0])
     with pytest.raises(ProtocolError):
         dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng)
 
@@ -485,7 +487,7 @@ def test_dataset_map_all_misclassified_is_protocol_error(rng):
 @pytest.mark.parametrize("workers", [0, -3])
 def test_dataset_map_rejects_workers_below_one(rng, workers):
     model = _constant_model((4, 4), always=0)
-    images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id="a")]
+    images = _dataset(rng.random((1, 4, 4)), [0])
     with pytest.raises(ValueError, match="workers must be at least 1"):
         dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng, workers=workers)
 
@@ -494,7 +496,7 @@ def test_dataset_map_rejects_workers_below_one(rng, workers):
                                            ("stride", 0), ("stride", -1)])
 def test_dataset_map_rejects_limit_or_stride_below_one(rng, option, value):
     model = _constant_model((4, 4), always=0)
-    images = [LabeledImage(pixels=rng.random((4, 4)), label=0, id=str(k)) for k in range(6)]
+    images = _dataset(rng.random((6, 4, 4)), [0] * 6)
     with pytest.raises(ValueError, match=f"{option} must be at least 1, got {value}"):
         dataset_occlusion_map(model, images, OccluderSpec(2, 2), rng, **{option: value})
 
@@ -503,7 +505,7 @@ def test_dataset_map_worker_count_does_not_change_result(rng):
     spec8 = SyntheticSpec(class_count=2, samples_per_class=4, image_size=6, seed=0)
     ds = generate_synthetic(spec8)
     model = _constant_model((6, 6), always=0, classes=2)
-    images = [im for im in ds.images if im.label == 0]
+    images = ds.take(np.flatnonzero(ds.labels == 0))
     occ = OccluderSpec(2, 3)
     a, _ = dataset_occlusion_map(model, images, occ, np.random.default_rng(1), workers=1)
     b, _ = dataset_occlusion_map(model, images, occ, np.random.default_rng(1), workers=3)
@@ -514,9 +516,7 @@ def test_dataset_map_worker_count_does_not_change_result(rng):
 def test_multi_worker_map_runs_one_blas_thread_and_restores_the_count(monkeypatch, rng):
     model = init_model(default_architecture(8, 3), np.random.default_rng(3))
     pixels = rng.random((4, 8, 8))
-    labels = predict(model, pixels[:, :, :, np.newaxis])
-    images = [LabeledImage(pixels=p, label=int(y), id=str(k))
-              for k, (p, y) in enumerate(zip(pixels, labels))]
+    images = _dataset(pixels, predict(model, pixels[:, :, :, np.newaxis]))
     seen = []
     real = occlusion._scan_grid
 
